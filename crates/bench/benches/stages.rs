@@ -4,13 +4,18 @@
 //! parallel), BN training, candidate generation (the `sample_row`
 //! oracle vs the compiled sampling plan on the batched scheduler) and
 //! candidate evaluation (the tree/hash bookkeeping reference vs the
-//! sharded sort-merge-join) — plus the windowing grid and posterior
-//! inference that sit beside the pipeline.
+//! sharded sort-merge-join), and the §5.5 scan evaluation (the
+//! `HashSet` reference vs the per-shard sort-merge join) — plus the
+//! windowing grid and posterior inference that sit beside the
+//! pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use eip_addr::set::SplitMix64;
 use eip_addr::{AddressSet, DedupSet, Ip6};
 use eip_exec::Scheduler;
-use eip_netsim::{dataset, population_adherence};
+use eip_netsim::{
+    dataset, evaluate_scan_reference, evaluate_scan_sharded, population_adherence, Responder,
+};
 use eip_stats::WindowGrid;
 use entropy_ip::{Config, Generator, Mined, Pipeline, Profiled, Segmented};
 use rand::rngs::StdRng;
@@ -222,6 +227,36 @@ fn bench_evaluate_stage(c: &mut Criterion) {
     g.finish();
 }
 
+/// Stage 6, scan protocol: the §5.5 evaluation behind Table 4 —
+/// test-set, ping and rDNS hits plus new /64s — on S1 with 1K
+/// training addresses and 100K candidates. The `HashSet` reference
+/// ([`evaluate_scan_reference`]: three binary searches and a hash
+/// probe per candidate) vs the per-shard sort-merge join
+/// ([`evaluate_scan_sharded`] on four workers). Identical outcomes;
+/// `tools/bench_guard.sh` guards the edge.
+fn bench_scan_evaluate_stage(c: &mut Criterion) {
+    let mut g = c.benchmark_group("stage_scan_evaluate");
+    g.sample_size(10);
+    let spec = dataset("S1").unwrap();
+    let observed = spec.population(1);
+    let (train, test) = observed.split_sample(1_000, &mut SplitMix64::new(2));
+    let responder = Responder::new(observed.clone(), spec.rdns_fraction, 3);
+    let model = Pipeline::new(Config::default()).run(train.iter()).unwrap();
+    let candidates = Generator::new(&model)
+        .excluding(&train)
+        .attempts_per_candidate(8)
+        .run_seeded(100_000, 4)
+        .candidates;
+    g.bench_function("reference_100000", |b| {
+        b.iter(|| evaluate_scan_reference(&candidates, &train, &test, &responder));
+    });
+    let exec = Scheduler::new(4);
+    g.bench_function("parallel4_100000", |b| {
+        b.iter(|| evaluate_scan_sharded(&candidates, &train, &test, &responder, &exec));
+    });
+    g.finish();
+}
+
 /// The windowing analysis (§4.5), beside the pipeline proper.
 fn bench_window_grid(c: &mut Criterion) {
     let addrs: Vec<Ip6> = population(1_000).iter().collect();
@@ -247,6 +282,7 @@ criterion_group!(
     bench_train_stage,
     bench_generate_stage,
     bench_evaluate_stage,
+    bench_scan_evaluate_stage,
     bench_window_grid,
     bench_inference
 );

@@ -16,17 +16,21 @@
 //!
 //! At the paper's native scale ([`crate::eval`] sees a million
 //! candidates per run) the original `HashSet` bookkeeping — hash the
-//! training /64s, hash every hit's /64 — was the hot spot. The
-//! counters are now computed over *sorted `u128` keys*: training /64s
-//! come pre-sorted from [`AddressSet::slash64s`], membership is a
-//! binary search, and the distinct new-/64 count is one
-//! sort-and-dedup over the collected hit prefixes. The candidate scan
-//! shards on an [`eip_exec::Scheduler`] (counters merge by addition,
-//! prefix lists concatenate in shard order before the global dedup),
-//! so the outcome is identical at any worker count. The original
-//! hashing implementation survives as
-//! [`evaluate_scan_reference`], the oracle the sort-join path is
-//! verified against (see `tests/proptests.rs`).
+//! training /64s, hash every hit's /64 — was the hot spot, and a
+//! binary search per candidate into each of the test, active, rDNS
+//! and training-/64 arrays was little better: every probe missed the
+//! cache. The counters are now a *sort-merge join over `u128` keys*.
+//! The candidate scan shards on an [`eip_exec::Scheduler`]; each
+//! shard sorts its own candidates and walks the four sorted sets
+//! (training /64s come pre-sorted from [`AddressSet::slash64s`]) with
+//! forward cursors. Because a /64 prefix is the top 64 bits, sorted
+//! candidates give sorted prefixes, so each shard emits its new /64s
+//! already distinct; counters merge by addition, and the prefix lists
+//! concatenate in shard order before one global sort-and-dedup. The
+//! outcome is therefore identical at any worker count. The original
+//! hashing implementation survives as [`evaluate_scan_reference`],
+//! the oracle the sort-join path is verified against (see
+//! `tests/proptests.rs`).
 
 use std::collections::HashSet;
 
@@ -77,9 +81,15 @@ pub fn evaluate_scan(
 }
 
 /// [`evaluate_scan`] with the candidate scan fanned out on a
-/// scheduler. Shard counters merge by addition and the new-/64 dedup
-/// runs globally over sorted keys, so the outcome is identical at any
-/// worker count.
+/// scheduler, as a per-shard sort-merge join. Each shard copies and
+/// sorts its slice of candidates, then walks the test set, the
+/// responder's active and rDNS sets and the training /64s with
+/// forward cursors, each starting at the partition point of the
+/// shard's smallest key. Ping verdicts apply the responder's fault
+/// rules exactly as [`Responder::ping`] does, and the responder's
+/// probe counter grows by `candidates.len()` once per call. Shard
+/// counters merge by addition and the new-/64 dedup runs globally
+/// over sorted keys, so the outcome is identical at any worker count.
 pub fn evaluate_scan_sharded(
     candidates: &[Ip6],
     training: &AddressSet,
@@ -87,7 +97,8 @@ pub fn evaluate_scan_sharded(
     responder: &Responder,
     exec: &Scheduler,
 ) -> ScanOutcome {
-    /// Per-shard counters plus the raw hit /64s outside training.
+    /// Per-shard counters plus the shard's distinct hit /64s outside
+    /// training, in ascending order.
     struct Shard {
         test_hits: usize,
         ping_hits: usize,
@@ -95,10 +106,18 @@ pub fn evaluate_scan_sharded(
         overall: usize,
         new64: Vec<Ip6>,
     }
+    responder.count_probes(candidates.len());
     let train64: Vec<Ip6> = training.slash64s();
     let merged = exec.par_map_reduce(
         candidates.len(),
         |range| {
+            let mut keys = candidates[range].to_vec();
+            keys.sort_unstable();
+            let lo = keys.first().copied().unwrap_or(Ip6(0));
+            let mut in_test = Cursor::new(test.as_slice(), lo);
+            let mut active = Cursor::new(responder.active().as_slice(), lo);
+            let mut rdns = Cursor::new(responder.rdns_hosts().as_slice(), lo);
+            let mut known64 = Cursor::new(&train64, lo.slash64());
             let mut s = Shard {
                 test_hits: 0,
                 ping_hits: 0,
@@ -106,17 +125,17 @@ pub fn evaluate_scan_sharded(
                 overall: 0,
                 new64: Vec::new(),
             };
-            for &ip in &candidates[range] {
-                let in_test = test.contains(ip);
-                let ping = responder.ping(ip);
-                let rdns = responder.rdns(ip);
-                s.test_hits += usize::from(in_test);
-                s.ping_hits += usize::from(ping);
-                s.rdns_hits += usize::from(rdns);
-                if in_test || ping || rdns {
+            for &ip in &keys {
+                let t = in_test.seek(ip);
+                let p = responder.verdict(ip, active.seek(ip));
+                let r = rdns.seek(ip);
+                s.test_hits += usize::from(t);
+                s.ping_hits += usize::from(p);
+                s.rdns_hits += usize::from(r);
+                if t || p || r {
                     s.overall += 1;
                     let p64 = ip.slash64();
-                    if train64.binary_search(&p64).is_err() {
+                    if !known64.seek(p64) && s.new64.last() != Some(&p64) {
                         s.new64.push(p64);
                     }
                 }
@@ -145,6 +164,32 @@ pub fn evaluate_scan_sharded(
         out.new_slash64 = merged.new64.len();
     }
     out
+}
+
+/// A forward-only membership cursor over a sorted slice, for probing
+/// it with non-decreasing keys.
+struct Cursor<'a> {
+    keys: &'a [Ip6],
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the first element not below `lo`.
+    fn new(keys: &'a [Ip6], lo: Ip6) -> Self {
+        Cursor {
+            at: keys.partition_point(|&k| k < lo),
+            keys,
+        }
+    }
+
+    /// Whether `key` is in the slice. Keys must not decrease from one
+    /// call to the next.
+    fn seek(&mut self, key: Ip6) -> bool {
+        while self.keys.get(self.at).is_some_and(|&k| k < key) {
+            self.at += 1;
+        }
+        self.keys.get(self.at) == Some(&key)
+    }
 }
 
 /// The original `HashSet`-based evaluation, kept verbatim as the
@@ -329,6 +374,87 @@ mod tests {
             assert_eq!(o.rdns_hits, oracle.rdns_hits);
             assert_eq!(o.overall, oracle.overall);
             assert_eq!(o.new_slash64, oracle.new_slash64);
+        }
+    }
+
+    const EDGE_WORKERS: [usize; 3] = [1, 2, 7];
+
+    fn scan(
+        candidates: &[Ip6],
+        training: &AddressSet,
+        test: &AddressSet,
+        responder: &Responder,
+        workers: usize,
+    ) -> ScanOutcome {
+        let exec = Scheduler::new(workers);
+        evaluate_scan_sharded(candidates, training, test, responder, &exec)
+    }
+
+    #[test]
+    fn probes_sent_grows_by_candidate_count_per_call() {
+        let training: AddressSet = (0..10u128).map(base).collect();
+        let test: AddressSet = (10..20u128).map(base).collect();
+        let responder = Responder::new(training.union(&test), 0.5, 1);
+        let candidates: Vec<Ip6> = (0..37u128).map(|i| base(i * 3)).collect();
+        for workers in EDGE_WORKERS {
+            let before = responder.probes_sent();
+            scan(&candidates, &training, &test, &responder, workers);
+            assert_eq!(responder.probes_sent() - before, 37, "{workers} workers");
+            scan(&candidates[..5], &training, &test, &responder, workers);
+            assert_eq!(responder.probes_sent() - before, 42, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn empty_candidate_list_scores_nothing() {
+        let training: AddressSet = (0..10u128).map(base).collect();
+        let test: AddressSet = (10..20u128).map(base).collect();
+        let responder = Responder::new(training.union(&test), 1.0, 1);
+        for workers in EDGE_WORKERS {
+            let o = scan(&[], &training, &test, &responder, workers);
+            assert_eq!(o.generated, 0, "{workers} workers");
+            assert_eq!(o.overall, 0);
+            assert_eq!(o.new_slash64, 0);
+        }
+        assert_eq!(responder.probes_sent(), 0);
+    }
+
+    #[test]
+    fn candidates_above_every_set_element_start_cursors_at_the_end() {
+        let training: AddressSet = (0..10u128).map(base).collect();
+        let test: AddressSet = (10..20u128).map(base).collect();
+        let responder = Responder::new(training.union(&test), 1.0, 1);
+        // Every candidate's address and /64 exceed every element of
+        // the test, active, rDNS and training-/64 sets.
+        let candidates: Vec<Ip6> = (0..20u128)
+            .map(|i| Ip6((0x2001_0db9u128 << 96) | (i << 64) | i))
+            .collect();
+        let oracle = evaluate_scan_reference(&candidates, &training, &test, &responder);
+        assert_eq!(oracle.overall, 0);
+        for workers in EDGE_WORKERS {
+            let o = scan(&candidates, &training, &test, &responder, workers);
+            assert_eq!(o.generated, 20, "{workers} workers");
+            assert_eq!(o.test_hits, 0);
+            assert_eq!(o.ping_hits, 0);
+            assert_eq!(o.rdns_hits, 0);
+            assert_eq!(o.overall, 0);
+            assert_eq!(o.new_slash64, 0);
+        }
+    }
+
+    #[test]
+    fn hits_in_one_new_slash64_count_once() {
+        let fresh = |i: u128| Ip6((0x2001_0db8_0000_0001u128 << 64) | i);
+        let training: AddressSet = (0..10u128).map(base).collect();
+        let test: AddressSet = (0..40u128).map(fresh).collect();
+        let responder = Responder::new(test.clone(), 0.5, 1);
+        // Every shard sees part of the same /64, some addresses twice.
+        let candidates: Vec<Ip6> = (0..60u128).map(|i| fresh(i % 45)).collect();
+        for workers in EDGE_WORKERS {
+            let o = scan(&candidates, &training, &test, &responder, workers);
+            assert_eq!(o.test_hits, 55, "{workers} workers");
+            assert_eq!(o.overall, 55);
+            assert_eq!(o.new_slash64, 1);
         }
     }
 

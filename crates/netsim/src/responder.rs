@@ -35,9 +35,14 @@ pub struct FaultConfig {
 
 /// The measurement oracle for one simulated network.
 ///
-/// Probing is `&self` and thread-safe (the probe counter is atomic),
-/// so one responder can serve every shard of a parallel evaluation —
-/// see [`evaluate_scan`](crate::eval::evaluate_scan).
+/// Probing is `&self`. One responder serves every shard of a
+/// parallel scan
+/// ([`evaluate_scan_sharded`](crate::eval::evaluate_scan_sharded))
+/// without the shards touching the probe counter: each shard reads the
+/// active and rDNS sets through its own merge cursors and asks the
+/// fault verdict [`Responder::ping`] uses, a pure function of the
+/// address, and the scan counts all its probes with one update per
+/// call.
 #[derive(Debug)]
 pub struct Responder {
     active: AddressSet,
@@ -84,22 +89,42 @@ impl Responder {
         &self.active
     }
 
-    /// Number of probes served so far.
+    /// Number of probes served so far: one per [`Responder::ping`],
+    /// and one per candidate of each scan evaluation (counted once
+    /// per evaluation, when it starts).
     pub fn probes_sent(&self) -> u64 {
         self.probes.load(Ordering::Relaxed)
     }
 
+    /// Adds `n` probes to [`Responder::probes_sent`].
+    pub(crate) fn count_probes(&self, n: usize) {
+        self.probes.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
+    /// The hosts with a genuine reverse-DNS record.
+    pub(crate) fn rdns_hosts(&self) -> &AddressSet {
+        &self.rdns
+    }
+
     /// ICMPv6 echo: does this address answer a ping?
     pub fn ping(&self, ip: Ip6) -> bool {
-        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.count_probes(1);
+        self.verdict(ip, self.active.contains(ip))
+    }
+
+    /// The fault rules of one probe, given whether `ip` is in the
+    /// active population: an echo prefix answers everything, an
+    /// inactive host never answers, and an active one answers unless
+    /// the hash-deterministic probe loss drops it (same address, same
+    /// verdict). Does not count the probe.
+    pub(crate) fn verdict(&self, ip: Ip6, active: bool) -> bool {
         if self.faults.echo_prefixes.iter().any(|p| p.contains(ip)) {
             return true;
         }
-        if !self.active.contains(ip) {
+        if !active {
             return false;
         }
         if self.faults.probe_loss > 0.0 {
-            // Hash-deterministic loss: same address, same verdict.
             let mut h = SplitMix64::new(
                 self.faults.seed ^ (ip.value() as u64) ^ ((ip.value() >> 64) as u64),
             );

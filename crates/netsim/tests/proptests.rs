@@ -2,11 +2,11 @@
 //! the sharded population synthesis: the fast paths must reproduce
 //! their serial/hashing oracles exactly, at every worker count.
 
-use eip_addr::{AddressSet, Ip6};
+use eip_addr::{AddressSet, Ip6, Prefix};
 use eip_exec::Scheduler;
 use eip_netsim::{
-    evaluate_scan_reference, evaluate_scan_sharded, population_adherence, AddressPlan, FieldKind,
-    PlanField, Responder,
+    evaluate_scan_reference, evaluate_scan_sharded, population_adherence, AddressPlan, FaultConfig,
+    FieldKind, PlanField, Responder, ScanOutcome,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,6 +16,24 @@ use rand::SeedableRng;
 /// /64 variety: `sub` picks the /64, `host` the IID.
 fn addr(sub: u128, host: u128) -> Ip6 {
     Ip6((0x2001_0db8u128 << 96) | ((sub & 0xffff) << 64) | (host & 0xffff))
+}
+
+/// Like [`addr`], but `sub` also spreads over /48s: eight /64s per
+/// /48, so a /48 echo prefix covers some candidates and not others.
+fn addr48(sub: u128, host: u128) -> Ip6 {
+    Ip6((0x2001_0db8u128 << 96) | ((sub / 8) << 80) | ((sub % 8) << 64) | (host & 0xffff))
+}
+
+/// Every counter of a [`ScanOutcome`], in declaration order.
+fn counters(o: &ScanOutcome) -> [usize; 6] {
+    [
+        o.generated,
+        o.test_hits,
+        o.ping_hits,
+        o.rdns_hits,
+        o.overall,
+        o.new_slash64,
+    ]
 }
 
 proptest! {
@@ -54,6 +72,77 @@ proptest! {
         prop_assert_eq!(fast.rdns_hits, oracle.rdns_hits);
         prop_assert_eq!(fast.overall, oracle.overall);
         prop_assert_eq!(fast.new_slash64, oracle.new_slash64);
+    }
+
+    /// With faults on, the sort-join scan ≡ the `HashSet` reference,
+    /// field for field, at every worker count 1..=8, and each call
+    /// counts exactly one probe per candidate. Faults are
+    /// hash-deterministic probe loss and up to two echo prefixes (/48
+    /// or /64) over candidate /64s. Candidates come in runs inside one
+    /// /64, each address repeated up to three times, so shard
+    /// boundaries cut /64s and duplicates straddle shards.
+    #[test]
+    fn sort_join_scan_matches_reference_under_faults(
+        pop_seed in 0u128..1000,
+        pop_size in 1usize..300,
+        runs in prop::collection::vec((0u128..40, 0u128..400, 1u128..80, 1usize..=3), 0..12),
+        rdns_frac in 0.0f64..1.0,
+        probe_loss in 0.0f64..1.0,
+        fault_seed in any::<u64>(),
+        echoes in prop::collection::vec((any::<usize>(), any::<bool>()), 0..=2),
+    ) {
+        let population: AddressSet = (0..pop_size as u128)
+            .map(|i| addr48((i * 7 + pop_seed) % 30, i % 200))
+            .collect();
+        let mut rng = eip_addr::set::SplitMix64::new(pop_seed as u64);
+        let (training, test) = population.split_sample(pop_size / 3, &mut rng);
+        let candidates: Vec<Ip6> = runs
+            .iter()
+            .flat_map(|&(sub, host, len, reps)| {
+                (host..host + len).flat_map(move |h| std::iter::repeat_n(addr48(sub, h), reps))
+            })
+            .collect();
+        let echo_prefixes: Vec<Prefix> = if candidates.is_empty() {
+            Vec::new()
+        } else {
+            echoes
+                .iter()
+                .map(|&(at, wide)| {
+                    Prefix::new(candidates[at % candidates.len()], if wide { 48 } else { 64 })
+                })
+                .collect()
+        };
+        let responder = Responder::new(population.clone(), rdns_frac, pop_seed as u64)
+            .with_faults(FaultConfig {
+                probe_loss,
+                echo_prefixes,
+                seed: fault_seed,
+            });
+        let oracle = counters(&evaluate_scan_reference(&candidates, &training, &test, &responder));
+        for workers in 1usize..=8 {
+            let before = responder.probes_sent();
+            let fast = counters(&evaluate_scan_sharded(
+                &candidates,
+                &training,
+                &test,
+                &responder,
+                &Scheduler::new(workers),
+            ));
+            prop_assert_eq!(
+                responder.probes_sent() - before,
+                candidates.len() as u64,
+                "{} workers: probe count",
+                workers
+            );
+            prop_assert_eq!(
+                fast,
+                oracle,
+                "{} workers: sort-join {:?} != reference {:?}",
+                workers,
+                fast,
+                oracle
+            );
+        }
     }
 
     /// Merge-join `population_adherence` ≡ a naive hashing reference

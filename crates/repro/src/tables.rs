@@ -2,7 +2,8 @@
 
 use eip_addr::set::SplitMix64;
 use eip_bayes::sample_row;
-use eip_netsim::{dataset, evaluate_scan, TemporalPool};
+use eip_exec::Scheduler;
+use eip_netsim::{dataset, evaluate_scan_sharded, TemporalPool};
 use entropy_ip::baseline::{encoded_dataset, generate_with, IndependentModel, MarkovModel};
 use entropy_ip::ValueKind;
 
@@ -186,7 +187,13 @@ pub fn scan_one(id: &str, cfg: &RunConfig) -> Table4Row {
         cfg.seed ^ 0xf00d,
         cfg.jobs,
     );
-    let outcome = evaluate_scan(&candidates, &wb.train, &wb.test, &wb.responder);
+    let outcome = evaluate_scan_sharded(
+        &candidates,
+        &wb.train,
+        &wb.test,
+        &wb.responder,
+        &Scheduler::new(cfg.jobs),
+    );
     Table4Row {
         id: id.to_string(),
         test: outcome.test_hits,
@@ -357,6 +364,7 @@ pub fn table6(cfg: &RunConfig) {
 pub fn ablation(cfg: &RunConfig) {
     println!("=== Ablation: model class (BN vs first-order Markov vs independent) ===\n");
     println!("{:<4} {:>9} {:>9} {:>9}", "Set", "BN", "Markov", "Indep");
+    let exec = Scheduler::new(cfg.jobs);
     for id in ["S1", "S5", "R1", "R3"] {
         let wb = workbench(id, cfg);
         let data = encoded_dataset(&wb.model, &wb.train);
@@ -375,7 +383,7 @@ pub fn ablation(cfg: &RunConfig) {
         let mm_c = generate_with(&wb.model, |r| mm.sample_row(r), n, budget, &mut rng);
         let in_c = generate_with(&wb.model, |r| ind.sample_row(r), n, budget, &mut rng);
         let rate = |cands: &[eip_addr::Ip6]| {
-            let o = evaluate_scan(cands, &wb.train, &wb.test, &wb.responder);
+            let o = evaluate_scan_sharded(cands, &wb.train, &wb.test, &wb.responder, &exec);
             o.success_rate() * 100.0
         };
         println!(

@@ -2,7 +2,7 @@
 # Bench-regression smoke: runs the `stages` bench target and fails if
 # a sharded engine is not faster than its serial reference by the
 # configured margin — guarding the whole point of the sharded
-# execution core. Five guarded edges:
+# execution core. Six guarded edges:
 #
 #   * stage_synthesize: parallel4 (keyed per-index draws through the
 #     compiled address plan, DedupSet screen, presorted set build) vs
@@ -19,7 +19,11 @@
 #     draw allocated two Vecs and rescanned CPT weights);
 #   * stage_evaluate: parallel4 (sharded sort-merge-join) vs the
 #     tree/hash bookkeeping the `--full` evaluate stage used before
-#     PR 5.
+#     PR 5;
+#   * stage_scan_evaluate: parallel4 (per-shard sort-merge join of
+#     the §5.5 scan) vs the `HashSet` reference, on S1 with 1K
+#     training addresses and 100K candidates; the join must take at
+#     most half the reference's time.
 #
 # Plus one edge from the `ingest` bench target:
 #
@@ -66,6 +70,9 @@
 #                          (default 1.0, i.e. parallel <= serial)
 #   BENCH_GENERATE_MARGIN  required ratio for generation (default 0.9)
 #   BENCH_EVALUATE_MARGIN  required ratio for evaluation (default 0.9)
+#   BENCH_SCAN_EVALUATE_MARGIN
+#                          required ratio parallel/reference for the
+#                          scan evaluation (default 0.5)
 #   BENCH_INGEST_MARGIN    required ratio streaming/serial for stage-1
 #                          ingestion (default 0.95; holds at ~0.90 even
 #                          on a one-CPU host)
@@ -79,6 +86,7 @@ mine_margin="${BENCH_MINE_MARGIN:-0.9}"
 train_margin="${BENCH_TRAIN_MARGIN:-1.0}"
 generate_margin="${BENCH_GENERATE_MARGIN:-0.9}"
 evaluate_margin="${BENCH_EVALUATE_MARGIN:-0.9}"
+scan_evaluate_margin="${BENCH_SCAN_EVALUATE_MARGIN:-0.5}"
 ingest_margin="${BENCH_INGEST_MARGIN:-0.95}"
 serve_margin="${BENCH_SERVE_MARGIN:-0.5}"
 
@@ -137,6 +145,11 @@ check_edge stage_evaluate \
     "$(echo "$out" | awk '/bench stage_evaluate\/serial_10000:/ {print $3}')" \
     "$(echo "$out" | awk '/bench stage_evaluate\/parallel4_10000:/ {print $3}')" \
     "$evaluate_margin"
+
+check_edge stage_scan_evaluate \
+    "$(echo "$out" | awk '/bench stage_scan_evaluate\/reference_100000:/ {print $3}')" \
+    "$(echo "$out" | awk '/bench stage_scan_evaluate\/parallel4_100000:/ {print $3}')" \
+    "$scan_evaluate_margin"
 
 check_edge stage_ingest \
     "$(echo "$ingest_out" | awk '/bench stage_ingest\/serial_2000000:/ {print $3}')" \
