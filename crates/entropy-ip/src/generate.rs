@@ -102,10 +102,10 @@ impl Acceptance {
 }
 
 /// How a [`Generator`] holds its model: borrowed for the common
-/// single-job case, or behind an [`Arc`] ([`Generator::shared`]) so
-/// the batched sampler's shard closures can be `'static` and run on a
-/// shared work-stealing pool. The held model is identical either way,
-/// so every output is too.
+/// single-job case, or owned through an [`Arc`]
+/// ([`Generator::shared`]) so the generator need not outlive a
+/// borrow. The held model is identical either way, so every output is
+/// too.
 enum ModelRef<'m> {
     Borrowed(&'m IpModel),
     Shared(Arc<IpModel>),
@@ -141,11 +141,10 @@ impl<'m> Generator<'m> {
         }
     }
 
-    /// A generator over a shared (`Arc`-held) model: required for
-    /// [`Generator::run_seeded`] to submit its sampling shards to a
-    /// shared work-stealing pool (see [`Generator::with_scheduler`]),
-    /// and byte-identical to [`Generator::new`] over the same model
-    /// in every mode.
+    /// A generator that holds a shared (`Arc`-held) model instead of
+    /// borrowing one, for callers that keep the model behind an `Arc`
+    /// anyway (a fleet job, a model registry). Byte-identical to
+    /// [`Generator::new`] over the same model in every mode.
     pub fn shared(model: Arc<IpModel>) -> Self {
         Generator {
             model: ModelRef::Shared(model),
@@ -180,11 +179,7 @@ impl<'m> Generator<'m> {
     /// ([`eip_exec::Scheduler::shared`]). As with
     /// [`parallelism`](Generator::parallelism), only wall-clock
     /// changes: the scheduler's worker geometry fixes the round
-    /// shards and the keyed draws fix their contents. The pool path
-    /// additionally requires a [`Generator::shared`] model and no
-    /// exclusion set (both non-`'static` borrows otherwise); when
-    /// either is absent, rounds fall back to the scoped engine with
-    /// identical output.
+    /// shards and the keyed draws fix their contents.
     pub fn with_scheduler(mut self, exec: Scheduler) -> Self {
         self.exec = exec;
         self
@@ -270,25 +265,11 @@ impl<'m> Generator<'m> {
             let round = (shortfall + shortfall / 16 + 1024).min(walk.budget - walk.report.attempts);
             let at = move |r: Range<usize>| base + r.start as u64..base + r.end as u64;
             let append = |acc: &mut Vec<(Ip6, bool)>, part: Vec<(Ip6, bool)>| acc.extend(part);
-            // Two venues, one result: a shared model without a borrowed
-            // exclusion set runs its shards as `'static` tasks (on the
-            // scheduler's pool if it has one); anything else fans out
-            // scoped. Shards and draws are identical either way.
-            let drawn = match (&self.model, self.exclude) {
-                (ModelRef::Shared(model), None) => {
-                    let (model, evidence) = (Arc::clone(model), evidence.cloned());
-                    self.exec.par_map_reduce_shared(
-                        round,
-                        move |r| keyed_draws(&model, evidence.as_ref(), None, key, at(r)).collect(),
-                        append,
-                    )
-                }
-                _ => self.exec.par_map_reduce(
-                    round,
-                    |r| keyed_draws(self.model.get(), evidence, self.exclude, key, at(r)).collect(),
-                    append,
-                ),
-            };
+            let drawn = self.exec.par_map_reduce(
+                round,
+                |r| keyed_draws(self.model.get(), evidence, self.exclude, key, at(r)).collect(),
+                append,
+            );
             walk = walk.walk(drawn.unwrap_or_default());
         }
         walk.report
@@ -403,9 +384,9 @@ mod tests {
 
     #[test]
     fn shared_generator_on_pool_matches_oracle() {
-        // The pool venue (shared model, pool-attached scheduler, no
-        // exclusion) and the scoped venue must both equal the
-        // straight-line keyed oracle, at several pool sizes.
+        // A shared model on a pool-attached scheduler, with and
+        // without an exclusion set, must equal the straight-line keyed
+        // oracle at several pool sizes.
         let set = training_set();
         let model = Arc::new(EntropyIp::new().analyze(&set).unwrap());
         let oracle = Generator::new(&model).run_keyed_reference(5_000, 42);
@@ -423,7 +404,7 @@ mod tests {
                 );
                 assert_eq!(batched.attempts, oracle.attempts);
             }
-            // Exclusion forces the scoped venue; output unchanged.
+            // With an exclusion set too.
             let excl_oracle = Generator::new(&model)
                 .excluding(&set)
                 .run_keyed_reference(2_000, 42);

@@ -89,12 +89,12 @@ pub struct Config {
     /// Worker threads for per-segment mining (1 = serial). The model
     /// produced is identical at any setting; only wall-clock changes.
     pub parallelism: usize,
-    /// Optional shared work-stealing pool ([`Config::with_pool`]).
-    /// When set, the sharded hot stages submit their shards to this
-    /// pool instead of scoped threads, so many concurrent pipeline
-    /// jobs share one fixed set of OS workers. Speed only: the shard
-    /// geometry stays [`Config::parallelism`], so the model is
-    /// byte-identical with or without a pool, at any pool size.
+    /// Optional shared thread budget ([`Config::with_pool`]). When
+    /// set, every fan-out of the hot stages leases its extra threads
+    /// from this budget, so many concurrent pipeline jobs share a
+    /// bounded number of threads. Speed only: the shard geometry stays
+    /// [`Config::parallelism`], so the model is byte-identical with or
+    /// without a budget, at any budget size.
     pub pool: Option<Arc<eip_exec::pool::StealPool>>,
 }
 
@@ -126,9 +126,8 @@ impl Config {
         self
     }
 
-    /// Attaches a shared work-stealing pool: the sharded hot stages
-    /// will submit their shards to it instead of spawning scoped
-    /// threads. See [`Config::pool`].
+    /// Attaches a shared thread budget: the hot stages' fan-outs will
+    /// lease their extra threads from it. See [`Config::pool`].
     pub fn with_pool(mut self, pool: Arc<eip_exec::pool::StealPool>) -> Self {
         self.pool = Some(pool);
         self
@@ -208,32 +207,23 @@ impl Pipeline {
         // half-walks per address instead of one serialized u128
         // chain); per-shard counts merge exactly, so the profile is
         // identical at any worker count and to the scalar
-        // `observe` oracle. The set moves behind an `Arc` up front so
-        // the sharded closure can be handed to a shared pool as a
-        // `'static` task (scoped fallback uses the same closure).
-        let working = Arc::new(working);
-        let counts = if exec.is_serial() {
-            let mut counts = NybbleCounts::new();
-            counts.observe_slice(working.as_slice());
-            counts
-        } else {
-            let addrs = Arc::clone(&working);
-            exec.par_map_reduce_shared(
+        // `observe` oracle. One worker means one shard, run inline.
+        let counts = exec
+            .par_map_reduce(
                 working.len(),
-                move |range| {
+                |range| {
                     let mut counts = NybbleCounts::new();
-                    counts.observe_slice(&addrs.as_slice()[range]);
+                    counts.observe_slice(&working.as_slice()[range]);
                     counts
                 },
                 |acc, part| acc.merge(&part),
             )
-            .expect("non-empty working set")
-        };
+            .expect("non-empty working set");
         let entropy = counts.entropy();
         let acr = acr4(&working);
         Ok(Profiled {
             cfg: self.cfg.clone(),
-            working,
+            working: Arc::new(working),
             entropy,
             acr,
         })
@@ -512,10 +502,10 @@ impl Mined {
             .collect();
         // Hand the configured scheduler to the sharded learner
         // directly (rather than letting it build its own from
-        // `parallelism`) so a pool-attached pipeline keeps its
-        // counting passes on the job thread instead of stacking a
-        // scoped fan-out on top of the shared pool. Same worker
-        // geometry either way — the learned network is identical.
+        // `parallelism`) so a pool-attached pipeline's counting
+        // passes lease their threads from the shared budget too. Same
+        // worker geometry either way — the learned network is
+        // identical.
         let bn = if learn_opts.parallelism > 1 {
             eip_bayes::learn_structure_sharded(&dataset, &learn_opts, &exec)
         } else {
@@ -564,7 +554,7 @@ impl Trained {
 /// Both paths are deterministic and produce identical dictionaries at
 /// any worker count — no RNG is involved, and the merge is exact.
 fn mine_all(
-    working: &Arc<AddressSet>,
+    working: &AddressSet,
     segments: &[Segment],
     opts: &MiningOptions,
     exec: &Scheduler,
@@ -581,15 +571,10 @@ fn mine_all(
             })
             .collect();
     }
-    // The histogram pass captures `Arc`s (not borrows) so its shards
-    // can run as `'static` tasks on a shared pool; without a pool the
-    // same closure runs on the scoped path, shard for shard.
-    let addrs = Arc::clone(working);
-    let segs: Arc<Vec<Segment>> = Arc::new(segments.to_vec());
     let merged: Vec<Histogram> = exec
-        .par_map_reduce_shared(
+        .par_map_reduce(
             working.len(),
-            move |range| shard_histograms(&addrs.as_slice()[range], &segs),
+            |range| shard_histograms(&working.as_slice()[range], segments),
             |acc, part| {
                 for (a, b) in acc.iter_mut().zip(&part) {
                     a.merge(b);
@@ -646,28 +631,24 @@ fn shard_histograms(addrs: &[Ip6], segments: &[Segment]) -> Vec<Histogram> {
 /// order — and therefore the dataset — is identical at any worker
 /// count; with one worker the single shard runs inline and *is* the
 /// serial reference.
-fn encode_dataset(working: &Arc<AddressSet>, mined: &[MinedSegment], exec: &Scheduler) -> Dataset {
+fn encode_dataset(working: &AddressSet, mined: &[MinedSegment], exec: &Scheduler) -> Dataset {
     let cardinalities: Vec<usize> = mined.iter().map(|m| m.cardinality()).collect();
-    // `Arc`-captured inputs, for the same reason as `mine_all`: the
-    // shard closure must be `'static` to ride a shared pool.
-    let addrs = Arc::clone(working);
-    let dicts: Arc<Vec<MinedSegment>> = Arc::new(mined.to_vec());
     let columns = exec
-        .par_map_reduce_shared(
+        .par_map_reduce(
             working.len(),
-            move |range| {
-                let mut cols: Vec<Vec<u8>> = dicts.iter().map(|_| Vec::new()).collect();
+            |range| {
+                let mut cols: Vec<Vec<u8>> = mined.iter().map(|_| Vec::new()).collect();
                 // Segments partition at most 32 nybbles, so a row
                 // always fits this stack buffer.
                 let mut row = [0u8; 32];
-                'rows: for ip in &addrs.as_slice()[range] {
-                    for (slot, m) in row.iter_mut().zip(dicts.iter()) {
+                'rows: for ip in &working.as_slice()[range] {
+                    for (slot, m) in row.iter_mut().zip(mined) {
                         match m.encode(ip.segment(m.segment.start, m.segment.end)) {
                             Some(code) => *slot = code as u8,
                             None => continue 'rows,
                         }
                     }
-                    for (col, &code) in cols.iter_mut().zip(&row[..dicts.len()]) {
+                    for (col, &code) in cols.iter_mut().zip(&row[..mined.len()]) {
                         col.push(code);
                     }
                 }
@@ -893,9 +874,9 @@ mod tests {
 
     #[test]
     fn pool_attached_pipeline_matches_scoped() {
-        // Attaching a shared work-stealing pool is a pure execution-
-        // venue change: the full staged model must be byte-identical
-        // to the scoped run at every pool size and worker geometry.
+        // Attaching a shared thread budget is a pure speed change:
+        // the full staged model must be byte-identical to the
+        // unattached run at every budget size and worker geometry.
         let set = training_set();
         let serial = Pipeline::new(Config::default()).run(set.iter()).unwrap();
         let expect = profile::export(&serial);
@@ -906,7 +887,6 @@ mod tests {
                     .with_parallelism(workers)
                     .with_pool(Arc::clone(&pool));
                 assert!(cfg.scheduler().has_pool());
-                assert_eq!(cfg.scheduler().threads(), 1, "scoped budget pinned");
                 let model = Pipeline::new(cfg).run(set.iter()).unwrap();
                 assert_eq!(
                     profile::export(&model),

@@ -162,9 +162,11 @@ fn load_inner(bytes: &[u8]) -> Result<(IpModel, u64), String> {
         ));
     }
     let fingerprint = r.u64("fingerprint")?;
-    let payload_len = r.u64("payload length")? as usize;
-    let body_end = HEADER_LEN + payload_len;
-    if bytes.len() != body_end + 8 {
+    let payload_len = r.u64("payload length")?;
+    // Compare against what the file holds rather than adding to the
+    // claimed length, which may be anything up to `u64::MAX`.
+    let body_end = bytes.len() - 8;
+    if u64::try_from(body_end - HEADER_LEN) != Ok(payload_len) {
         return Err(format!(
             "length mismatch: header claims {payload_len}-byte payload, file has {} bytes",
             bytes.len()
@@ -367,6 +369,15 @@ mod tests {
         let mut bad = good.clone();
         bad.push(0);
         assert!(load(&bad).is_err());
+        // Payload lengths that overflow when added to the header.
+        for claim in [u64::MAX, (usize::MAX - HEADER_LEN + 1) as u64] {
+            let mut bad = good.clone();
+            bad[16..HEADER_LEN].copy_from_slice(&claim.to_le_bytes());
+            assert!(
+                matches!(load(&bad), Err(EipError::Profile(msg)) if msg.contains("length mismatch")),
+                "payload length {claim}"
+            );
+        }
     }
 
     /// Rewrites the trailing checksum after byte surgery, so the

@@ -18,19 +18,19 @@
 //!   any *associative* reduction (all of ours merge exact integer
 //!   counts) produces the same value at every worker count.
 //!
-//! Threads come from [`std::thread::scope`] by default — no global
-//! state, no unsafe code. A [`Scheduler`] with one worker runs
+//! Every fan-out runs on [`std::thread::scope`] threads, so the
+//! primitives borrow their inputs — no global state, no unsafe code,
+//! no `'static` bounds. A [`Scheduler`] with one worker runs
 //! everything inline on the calling thread, which keeps the serial
 //! paths allocation- and thread-free and makes them the reference
 //! implementations the sharded paths are verified against (see the
 //! shard-equivalence proptests in `entropy-ip`). For fleet-scale
 //! workloads — many concurrent pipeline jobs on one box — a scheduler
-//! can instead be attached to a shared work-stealing worker pool
-//! ([`pool::StealPool`], [`Scheduler::shared`]): the `_shared`
-//! primitives then submit their worker-keyed shards as `'static`
-//! tasks to the pool, so an idle pipeline donates its workers to its
-//! neighbors, while the shard geometry (and therefore every result)
-//! stays exactly what the scoped path produces.
+//! can instead be attached to a shared thread budget
+//! ([`pool::StealPool`], [`Scheduler::shared`]): each fan-out then
+//! leases what extra threads the budget has free, and runs inline
+//! when it has none, while the shard geometry (and therefore every
+//! result) stays exactly what an unattached scheduler produces.
 //!
 //! The worker count is a *geometry* parameter, not a thread count:
 //! it fixes the shard decomposition (and therefore the output), while
@@ -110,12 +110,11 @@ pub fn shard_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
 /// * **threads** — the scoped-spawn budget ([`Scheduler::new`] clamps
 ///   it to `available_parallelism`; [`Scheduler::pinned`] overrides).
 ///   Pure speed.
-/// * **pool** — an optional shared [`StealPool`]
-///   ([`Scheduler::shared`]). When attached, the `_shared` primitives
-///   submit their shards to the pool instead of scoped threads, and
-///   the scoped budget drops to 1 so a fleet of concurrent jobs never
-///   oversubscribes the box. Pure speed: the pool's size is invisible
-///   in the output.
+/// * **pool** — an optional shared thread budget, a [`StealPool`]
+///   ([`Scheduler::shared`]). When attached, each fan-out runs on
+///   `1 +` the extra threads it can lease from the budget, so a fleet
+///   of concurrent jobs never oversubscribes the box. Pure speed: the
+///   budget's size is invisible in the output.
 #[derive(Clone, Debug)]
 pub struct Scheduler {
     workers: usize,
@@ -182,34 +181,29 @@ impl Scheduler {
     }
 
     /// A scheduler with the given worker budget (shard geometry)
-    /// attached to a shared work-stealing pool. The scoped thread
-    /// budget is pinned to 1: non-pool primitives run inline on the
-    /// calling job thread (concurrency across jobs comes from the
-    /// jobs themselves), while the `_shared` primitives submit their
-    /// shards to the pool — so N concurrent jobs never spawn
-    /// N × `threads` scoped workers on top of the pool. Composes with
-    /// the clamp contract of [`Scheduler::new`]: `workers` still
-    /// fixes the output, and neither the pool's size nor its
-    /// scheduling order can change any result.
+    /// attached to a shared thread budget. Each fan-out runs on
+    /// `1 + lease` threads, where the lease is however many extra
+    /// threads (up to `min(workers, pool.workers()) − 1`) the budget
+    /// has free at that moment; with none free it runs inline on the
+    /// calling job thread. The leases of concurrent jobs never exceed
+    /// the budget, so N jobs compute on at most N + `pool.workers()`
+    /// threads at once. Composes with the clamp contract of
+    /// [`Scheduler::new`]: `workers` still fixes the output, and
+    /// neither the budget's size nor what it has free can change any
+    /// result.
     pub fn shared(workers: usize, pool: Arc<StealPool>) -> Self {
+        let workers = workers.max(1);
         Scheduler {
-            workers: workers.max(1),
-            threads: 1,
+            workers,
+            threads: workers,
             pool: Some(pool),
         }
     }
 
-    /// Whether a shared pool is attached (the `_shared` primitives
-    /// fall back to the scoped/inline path when it is not).
+    /// Whether a shared thread budget is attached.
     #[inline]
     pub fn has_pool(&self) -> bool {
         self.pool.is_some()
-    }
-
-    /// The attached shared pool, if any.
-    #[inline]
-    pub fn pool(&self) -> Option<&Arc<StealPool>> {
-        self.pool.as_ref()
     }
 
     /// The worker budget (the shard geometry).
@@ -218,7 +212,9 @@ impl Scheduler {
         self.workers
     }
 
-    /// The OS-thread budget actually used when fanning out.
+    /// The most OS threads one fan-out uses. On a pool-attached
+    /// scheduler this is the worker count, and a fan-out gets only as
+    /// many of these threads as it can lease.
     #[inline]
     pub fn threads(&self) -> usize {
         self.threads
@@ -251,29 +247,7 @@ impl Scheduler {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if self.threads == 1 || len <= 1 {
-            return (0..len).map(f).collect();
-        }
-        let ranges = shard_ranges(len, self.threads);
-        let mut out: Vec<Option<T>> = Vec::new();
-        out.resize_with(len, || None);
-        let f = &f;
-        thread::scope(|s| {
-            let mut rest = out.as_mut_slice();
-            for range in &ranges {
-                let (slots, tail) = rest.split_at_mut(range.len());
-                rest = tail;
-                let start = range.start;
-                s.spawn(move || {
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(f(start + j));
-                    }
-                });
-            }
-        });
-        out.into_iter()
-            .map(|slot| slot.expect("shard filled"))
-            .collect()
+        concat(self.fan_out(len, <[_]>::to_vec, |r| r.map(&f).collect()))
     }
 
     /// Maps `f` over a slice, returning results in input order. The
@@ -298,32 +272,21 @@ impl Scheduler {
         T: Send,
         F: Fn(I) -> T + Sync,
     {
-        if self.threads == 1 || items.len() <= 1 {
-            return items.into_iter().map(&f).collect();
-        }
-        let ranges = shard_ranges(items.len(), self.threads);
-        // Carve the vector into one owned chunk per OS thread
-        // (splitting from the tail avoids any element shifting), then
-        // map each chunk on its own thread and flatten in chunk order.
-        let mut tail = items;
-        let mut chunks: Vec<Vec<I>> = Vec::with_capacity(ranges.len());
-        for range in ranges.iter().skip(1).rev() {
-            chunks.push(tail.split_off(range.start));
-        }
-        chunks.push(tail);
-        chunks.reverse();
-        let f = &f;
-        let mut results: Vec<Option<Vec<T>>> = Vec::new();
-        results.resize_with(chunks.len(), || None);
-        thread::scope(|s| {
-            for (slot, chunk) in results.iter_mut().zip(chunks) {
-                s.spawn(move || *slot = Some(chunk.into_iter().map(f).collect()));
+        let len = items.len();
+        // Carve the vector into one owned chunk per thread (splitting
+        // from the tail avoids any element shifting), map each chunk
+        // on its own thread and flatten in chunk order.
+        let carve = |ranges: &[Range<usize>]| {
+            let mut tail = items;
+            let mut chunks: Vec<Vec<I>> = Vec::with_capacity(ranges.len());
+            for range in ranges.iter().skip(1).rev() {
+                chunks.push(tail.split_off(range.start));
             }
-        });
-        results
-            .into_iter()
-            .flat_map(|v| v.expect("chunk mapped"))
-            .collect()
+            chunks.push(tail);
+            chunks.reverse();
+            chunks
+        };
+        concat(self.fan_out(len, carve, |chunk| chunk.into_iter().map(&f).collect()))
     }
 
     /// Sorts a vector by sorting one contiguous run per OS thread,
@@ -344,22 +307,33 @@ impl Scheduler {
     where
         T: Ord + Send + Copy,
     {
-        if self.threads == 1 || items.len() <= 1 {
-            items.sort_unstable();
+        let len = items.len();
+        let slice = items.as_mut_slice();
+        let carve = move |ranges: &[Range<usize>]| {
+            let mut rest = slice;
+            let mut chunks = Vec::with_capacity(ranges.len());
+            for range in ranges {
+                let (chunk, tail) = rest.split_at_mut(range.len());
+                chunks.push(chunk);
+                rest = tail;
+            }
+            chunks
+        };
+        let lens = self.fan_out(len, carve, |chunk: &mut [T]| {
+            chunk.sort_unstable();
+            chunk.len()
+        });
+        if lens.len() <= 1 {
             return;
         }
-        let ranges = shard_ranges(items.len(), self.threads);
-        thread::scope(|s| {
-            let mut rest = items.as_mut_slice();
-            for range in &ranges {
-                let (chunk, tail) = rest.split_at_mut(range.len());
-                rest = tail;
-                s.spawn(move || chunk.sort_unstable());
-            }
-        });
+        let mut runs: Vec<(usize, usize)> = Vec::with_capacity(lens.len());
+        let mut start = 0;
+        for n in lens {
+            runs.push((start, start + n));
+            start += n;
+        }
         // Bottom-up merge of the contiguous sorted runs, ping-ponging
         // through one scratch buffer.
-        let mut runs: Vec<(usize, usize)> = ranges.iter().map(|r| (r.start, r.end)).collect();
         let mut scratch: Vec<T> = Vec::with_capacity(items.len());
         while runs.len() > 1 {
             scratch.clear();
@@ -467,12 +441,8 @@ impl Scheduler {
         M: Fn(Range<usize>) -> T + Sync,
         R: FnMut(&mut T, T),
     {
-        let parts = if self.threads == 1 {
-            self.shards(len).into_iter().map(&map).collect()
-        } else {
-            let ranges = self.shards(len);
-            self.par_map(&ranges, |r| map(r.clone()))
-        };
+        let shards = self.shards(len);
+        let parts = self.par_map_indexed(shards.len(), |i| map(shards[i].clone()));
         let mut parts = parts.into_iter();
         let mut acc = parts.next()?;
         for part in parts {
@@ -481,47 +451,65 @@ impl Scheduler {
         Some(acc)
     }
 
-    /// [`Scheduler::par_map_reduce`] for schedulers attached to a
-    /// shared [`StealPool`]: the same worker-keyed shard
-    /// decomposition, but each shard is submitted to the pool as a
-    /// `'static` task (hence the `Send + 'static` bounds — callers
-    /// capture their inputs behind `Arc`s) and the shard results are
-    /// folded **in shard order** on the calling thread. Without an
-    /// attached pool this *is* `par_map_reduce`: same closure, same
-    /// shards, same fold — so call sites can use this form
-    /// unconditionally and stay byte-identical either way. A
-    /// single-shard decomposition runs inline in both cases.
-    pub fn par_map_reduce_shared<T, M, R>(&self, len: usize, map: M, mut reduce: R) -> Option<T>
+    /// The one scoped fan-out behind every primitive. Splits `0..len`
+    /// into one contiguous chunk per thread this call gets, has
+    /// `carve` turn those ranges into the chunks' work items, runs
+    /// `run` on each item on its own scoped thread while the caller
+    /// waits, and returns the results in chunk order. A lone item
+    /// (one thread, a one-item input, or a shared budget with nothing
+    /// free) runs inline. The first panic in chunk order reaches the
+    /// caller with its own payload, after every chunk has settled.
+    ///
+    /// The thread count is [`threads`](Scheduler::threads) for
+    /// [`new`](Scheduler::new) and [`pinned`](Scheduler::pinned)
+    /// schedulers, and `1 +` the leased extra threads for
+    /// [`shared`](Scheduler::shared) ones; the lease returns its
+    /// tokens on drop, panics included.
+    fn fan_out<J, T>(
+        &self,
+        len: usize,
+        carve: impl FnOnce(&[Range<usize>]) -> Vec<J>,
+        run: impl Fn(J) -> T + Sync,
+    ) -> Vec<T>
     where
-        T: Send + 'static,
-        M: Fn(Range<usize>) -> T + Send + Sync + 'static,
-        R: FnMut(&mut T, T),
+        J: Send,
+        T: Send,
     {
-        let Some(pool) = self.pool.as_ref() else {
-            return self.par_map_reduce(len, map, reduce);
+        let cap = self.threads.min(len);
+        let lease = match &self.pool {
+            Some(pool) if cap > 1 => Some(pool.lease(cap - 1)),
+            _ => None,
         };
-        if len == 0 {
-            return None;
+        let threads = lease.as_ref().map_or(cap, |lease| 1 + lease.tokens());
+        let items = carve(&shard_ranges(len, threads));
+        if items.len() <= 1 {
+            return items.into_iter().map(run).collect();
         }
-        let ranges = self.shards(len);
-        if ranges.len() == 1 {
-            return Some(map(ranges.into_iter().next().expect("one shard")));
-        }
-        let map = Arc::new(map);
-        let tasks: Vec<Box<dyn FnOnce() -> T + Send + 'static>> = ranges
-            .into_iter()
-            .map(|range| {
-                let map = Arc::clone(&map);
-                Box::new(move || map(range)) as Box<dyn FnOnce() -> T + Send + 'static>
-            })
-            .collect();
-        let mut parts = pool.run_tasks(tasks).into_iter();
-        let mut acc = parts.next()?;
-        for part in parts {
-            reduce(&mut acc, part);
-        }
-        Some(acc)
+        let run = &run;
+        thread::scope(|s| {
+            let handles: Vec<_> = items
+                .into_iter()
+                .map(|item| s.spawn(move || run(item)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
     }
+}
+
+/// Flattens per-chunk results in chunk order; a lone chunk is
+/// returned as is.
+fn concat<T>(mut parts: Vec<Vec<T>>) -> Vec<T> {
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
+    }
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        out.extend(part);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -721,17 +709,14 @@ mod tests {
 
     #[test]
     fn shared_scheduler_composes_with_clamp_and_pinning() {
-        // Worker budget = shard geometry (output); pool size and the
-        // thread clamp are speed-only. A pool-attached scheduler pins
-        // its scoped budget to 1 so concurrent jobs never stack
-        // scoped fan-outs on top of the pool.
+        // Worker budget = shard geometry (output); the shared budget's
+        // size and the thread clamp are speed-only.
         let pool = Arc::new(StealPool::new(3));
         let exec = Scheduler::shared(4, Arc::clone(&pool));
         assert_eq!(exec.workers(), 4);
-        assert_eq!(exec.threads(), 1, "scoped budget pinned to 1");
         assert!(exec.has_pool());
         assert!(!Scheduler::new(4).has_pool());
-        // Geometry ignores both the pool size and the clamp.
+        // Geometry ignores both the budget size and the clamp.
         assert_eq!(exec.shards(1024).len(), 4);
         assert_eq!(exec.shards(1024), Scheduler::new(4).shards(1024));
         assert_eq!(exec.shards(1024), Scheduler::pinned(4, 9).shards(1024));
@@ -744,7 +729,11 @@ mod tests {
     }
 
     #[test]
-    fn par_map_reduce_shared_matches_scoped_at_any_pool_size() {
+    fn shared_budget_matches_scoped_at_any_pool_size() {
+        let items: Vec<u64> = (0..1013).collect();
+        let expect_map: Vec<u64> = items.iter().map(|&x| x ^ 0x5a).collect();
+        let mut expect_sorted: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(31) % 251).collect();
+        expect_sorted.sort_unstable();
         let expect = Scheduler::new(1)
             .par_map_reduce(1000, |r| r.map(|i| i as u64).sum::<u64>(), |a, b| *a += b)
             .unwrap();
@@ -753,22 +742,18 @@ mod tests {
             for workers in [1usize, 3, 8] {
                 let exec = Scheduler::shared(workers, Arc::clone(&pool));
                 let got = exec
-                    .par_map_reduce_shared(
-                        1000,
-                        |r| r.map(|i| i as u64).sum::<u64>(),
-                        |a, b| *a += b,
-                    )
+                    .par_map_reduce(1000, |r| r.map(|i| i as u64).sum::<u64>(), |a, b| *a += b)
                     .unwrap();
                 assert_eq!(got, expect, "pool {pool_size}, workers {workers}");
+                assert_eq!(exec.par_map(&items, |&x| x ^ 0x5a), expect_map);
+                assert_eq!(exec.par_map_owned(items.clone(), |x| x ^ 0x5a), expect_map);
+                let mut v: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(31) % 251).collect();
+                exec.par_sort_unstable(&mut v);
+                assert_eq!(v, expect_sorted, "pool {pool_size}, workers {workers}");
             }
         }
-        // Fallback without a pool is the scoped path.
-        let got = Scheduler::new(5)
-            .par_map_reduce_shared(1000, |r| r.map(|i| i as u64).sum::<u64>(), |a, b| *a += b)
-            .unwrap();
-        assert_eq!(got, expect);
         assert_eq!(
-            Scheduler::shared(3, Arc::new(StealPool::new(2))).par_map_reduce_shared(
+            Scheduler::shared(3, Arc::new(StealPool::new(2))).par_map_reduce(
                 0,
                 |_| 0u64,
                 |a, b| *a += b

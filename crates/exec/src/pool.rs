@@ -1,258 +1,84 @@
-//! A shared work-stealing worker pool for concurrent pipeline jobs.
+//! A shared thread budget for concurrent pipeline jobs.
 //!
-//! The scoped fan-out primitives of [`Scheduler`](crate::Scheduler)
-//! load-balance *within* one stage of one pipeline: they spawn, join,
-//! and tear down per call. Running many pipelines concurrently on
-//! them either serializes the pipelines or oversubscribes the box —
-//! each job would clamp its own thread budget as if it were alone.
-//! [`StealPool`] is the fleet-scale answer: one fixed set of OS
-//! workers, owned for the life of the pool, onto which any number of
-//! concurrent jobs submit shard tasks. A skewed or I/O-stalled job
-//! donates its idle workers to its neighbors instead of leaving
-//! cores dark.
+//! The fan-out primitives of [`Scheduler`](crate::Scheduler) spawn
+//! scoped threads per call, so they can borrow their inputs. Running
+//! many pipelines concurrently on them would oversubscribe the box:
+//! each job would size its fan-outs as if it were alone. A
+//! [`StealPool`] is the fleet-scale answer: one budget of `workers`
+//! thread tokens, shared by every scheduler attached to it
+//! ([`Scheduler::shared`](crate::Scheduler::shared)).
 //!
-//! ## Topology
+//! ## Leasing
 //!
-//! Each worker owns a deque. A job's tasks are dealt round-robin
-//! across the deques at submit time; a worker pops from the *front*
-//! of its own deque, and when that runs dry it steals from the *back*
-//! of a sibling's deque. The submitting thread is not idle either:
-//! while its job is in flight it executes queued tasks *of its own
-//! job* (caller-help), which guarantees progress — and therefore
-//! freedom from deadlock — even on a one-worker pool servicing
-//! sixteen jobs.
+//! Each fan-out on a pool-attached scheduler leases up to
+//! `workers − 1` tokens without blocking and runs its chunks on
+//! `1 + lease` scoped threads. When no token is left it runs inline
+//! on the calling job thread, so a job always makes progress however
+//! busy its neighbours are. The lease is a drop guard: its tokens go
+//! back when the fan-out returns, or when a panicking shard unwinds
+//! out of it.
 //!
 //! ## Determinism
 //!
-//! Scheduling here is deliberately *non*-deterministic — that is the
-//! point of stealing — but results are not: [`StealPool::run_tasks`]
-//! returns results **in submission order**, each task writes only its
-//! own pre-assigned slot, and the [`Scheduler`](crate::Scheduler)
-//! primitives built on top submit one task per worker-keyed shard and
-//! fold in shard order. Which worker (or which thief) materializes a
-//! shard can never change what the shard computes, so every consumer
-//! stays byte-identical to its solo serial run at any pool size — the
-//! same contract the scoped primitives honor, extended across jobs
-//! (pinned by the multi-job determinism suite and the steal-storm
-//! proptest).
+//! The lease decides only how many threads run a fan-out, never what
+//! it computes: the shard geometry follows the scheduler's worker
+//! count, and results are joined in chunk order. Every consumer
+//! therefore stays byte-identical to its solo serial run at any pool
+//! size and any number of concurrent jobs (pinned by the multi-job
+//! determinism suite and the budget-storm proptests).
 //!
-//! A panicking task is contained per job: the submitting
-//! [`run_tasks`](StealPool::run_tasks) call re-raises the payload on
-//! the caller after the rest of the batch settles, and the worker
-//! thread survives to serve other jobs.
+//! The type keeps its historical name; nothing is stolen any more.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::{self, JoinHandle};
-
-/// A queued unit of work: the owning job's id plus the boxed closure.
-struct QueuedTask {
-    job: u64,
-    run: Box<dyn FnOnce() + Send + 'static>,
-}
-
-/// Pool state guarded by one mutex: the queued-task count that gates
-/// worker parking, and the shutdown flag.
-struct PoolState {
-    queued: usize,
-    shutdown: bool,
-}
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Lifetime counters for the pool, each monotonic. Snapshot via
 /// [`StealPool::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Jobs submitted over the pool's lifetime.
+    /// Fan-outs run by schedulers attached to the pool.
     pub jobs: u64,
-    /// Tasks executed by pool workers (own deque or stolen).
+    /// Chunks run on spawned threads.
     pub executed: u64,
-    /// Tasks a worker stole from a sibling's deque.
+    /// Always 0: the pool no longer steals. Kept so existing readers
+    /// of the counters still compile.
     pub stolen: u64,
-    /// Tasks the submitting thread ran itself while waiting
-    /// (caller-help).
+    /// Chunks the calling thread ran inline because no token was
+    /// free.
     pub caller_ran: u64,
 }
 
-struct Shared {
-    /// One deque per worker; tasks are dealt round-robin at submit.
-    deques: Vec<Mutex<VecDeque<QueuedTask>>>,
-    state: Mutex<PoolState>,
-    work_ready: Condvar,
-    next_job: AtomicU64,
+/// A budget of `workers` thread tokens shared by concurrent jobs. See
+/// the [module docs](self) for the leasing rule and the determinism
+/// contract.
+#[derive(Debug)]
+pub struct StealPool {
+    workers: usize,
+    /// Tokens not leased right now. Like the counters below it is
+    /// updated `Relaxed`: it publishes no other data.
+    free: AtomicUsize,
     jobs: AtomicU64,
     executed: AtomicU64,
-    stolen: AtomicU64,
     caller_ran: AtomicU64,
 }
 
-/// Recover a mutex guard even if a holder panicked: every critical
-/// section here is a handful of queue/counter operations that cannot
-/// leave the structure inconsistent mid-flight.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-impl Shared {
-    /// Takes one task for worker `me`: own deque front, then a steal
-    /// scan over siblings' backs (starting after `me`, so thieves
-    /// spread out).
-    fn grab(&self, me: usize) -> Option<QueuedTask> {
-        let n = self.deques.len();
-        (0..n).find_map(|step| {
-            let mut q = lock(&self.deques[(me + step) % n]);
-            let task = if step == 0 {
-                q.pop_front()
-            } else {
-                q.pop_back()
-            }?;
-            drop(q);
-            self.note_taken();
-            self.executed.fetch_add(1, Ordering::Relaxed);
-            if step > 0 {
-                self.stolen.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(task)
-        })
-    }
-
-    /// Takes one queued task belonging to `job`, from any deque — the
-    /// caller-help path.
-    fn grab_for_job(&self, job: u64) -> Option<QueuedTask> {
-        self.deques.iter().find_map(|deque| {
-            let mut q = lock(deque);
-            let pos = q.iter().position(|t| t.job == job)?;
-            let task = q.remove(pos)?;
-            drop(q);
-            self.note_taken();
-            self.caller_ran.fetch_add(1, Ordering::Relaxed);
-            Some(task)
-        })
-    }
-
-    fn note_taken(&self) {
-        lock(&self.state).queued -= 1;
-    }
-
-    fn worker_loop(&self, me: usize) {
-        loop {
-            if let Some(task) = self.grab(me) {
-                // Panics are caught inside the wrapper `run_tasks`
-                // builds, the only submission path.
-                (task.run)();
-                continue;
-            }
-            let state = lock(&self.state);
-            if state.shutdown {
-                return;
-            }
-            if state.queued == 0 {
-                // Parked until a submit or shutdown notifies; spurious
-                // wakeups just re-run the grab scan.
-                let _unused = self
-                    .work_ready
-                    .wait(state)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
-        }
-    }
-}
-
-/// One job's results under one lock: a slot per task plus the count
-/// still to settle, and the condvar the submitting caller parks on.
-struct JobResults<T> {
-    state: Mutex<(Vec<Option<thread::Result<T>>>, usize)>,
-    settled: Condvar,
-}
-
-/// One task's claim on its result slot. Dropping it fills the slot and
-/// counts the job down. A task dropped before it ran (its worker died
-/// holding it) settles with an error, which the submitting caller
-/// re-raises instead of waiting forever.
-struct Slot<T> {
-    index: usize,
-    outcome: Option<thread::Result<T>>,
-    job: Arc<JobResults<T>>,
-}
-
-impl<T> Slot<T> {
-    fn settle(mut self, outcome: thread::Result<T>) {
-        self.outcome = Some(outcome);
-    }
-}
-
-impl<T> Drop for Slot<T> {
-    fn drop(&mut self) {
-        let outcome = self
-            .outcome
-            .take()
-            .unwrap_or_else(|| Err(Box::new("pool task dropped before it ran")));
-        let (slots, left) = &mut *lock(&self.job.state);
-        slots[self.index] = Some(outcome);
-        *left -= 1;
-        if *left == 0 {
-            self.job.settled.notify_all();
-        }
-    }
-}
-
-/// A fixed-size work-stealing worker pool shared by concurrent jobs.
-/// See the [module docs](self) for topology and the determinism
-/// contract. Workers are joined on drop.
-pub struct StealPool {
-    shared: Arc<Shared>,
-    workers: usize,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for StealPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StealPool")
-            .field("workers", &self.workers)
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
 impl StealPool {
-    /// A pool with exactly `workers` OS threads (clamped to ≥ 1).
-    /// Unlike [`Scheduler::new`](crate::Scheduler::new) this is not
-    /// clamped to `available_parallelism`: the pool is an explicit
+    /// A budget of exactly `workers` tokens (clamped to ≥ 1). Unlike
+    /// [`Scheduler::new`](crate::Scheduler::new) this is not clamped
+    /// to `available_parallelism`: the budget is an explicit
     /// machine-level resource its owner sizes once, and tests must be
-    /// able to build oversized pools on small hosts.
+    /// able to build oversized budgets on small hosts.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            state: Mutex::new(PoolState {
-                queued: 0,
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            next_job: AtomicU64::new(0),
+        StealPool {
+            workers,
+            free: AtomicUsize::new(workers),
             jobs: AtomicU64::new(0),
             executed: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
             caller_ran: AtomicU64::new(0),
-        });
-        let handles = (0..workers)
-            .map(|me| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("eip-steal-{me}"))
-                    .spawn(move || shared.worker_loop(me))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        StealPool {
-            shared,
-            workers,
-            handles,
         }
     }
 
-    /// The fixed worker count.
+    /// The fixed token count.
     #[inline]
     pub fn workers(&self) -> usize {
         self.workers
@@ -261,109 +87,89 @@ impl StealPool {
     /// A snapshot of the lifetime counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            jobs: self.shared.jobs.load(Ordering::Relaxed),
-            executed: self.shared.executed.load(Ordering::Relaxed),
-            stolen: self.shared.stolen.load(Ordering::Relaxed),
-            caller_ran: self.shared.caller_ran.load(Ordering::Relaxed),
+            jobs: self.jobs.load(Ordering::Relaxed),
+            executed: self.executed.load(Ordering::Relaxed),
+            stolen: 0,
+            caller_ran: self.caller_ran.load(Ordering::Relaxed),
         }
     }
 
-    /// Runs a batch of tasks as one job and returns their results
-    /// **in submission order**. Blocks until every task has settled;
-    /// while blocked, the calling thread executes still-queued tasks
-    /// of this job itself (caller-help), so a job always makes
-    /// progress no matter how busy the pool is. If any task panicked,
-    /// the first panic (in submission order) is re-raised here after
-    /// the whole batch has settled.
-    pub fn run_tasks<T: Send + 'static>(
-        &self,
-        tasks: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> Vec<T> {
-        let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let job = self.shared.next_job.fetch_add(1, Ordering::Relaxed);
-        self.shared.jobs.fetch_add(1, Ordering::Relaxed);
-        let mut slots = Vec::new();
-        slots.resize_with(n, || None);
-        let results = Arc::new(JobResults {
-            state: Mutex::new((slots, n)),
-            settled: Condvar::new(),
-        });
-        // Count the batch as queued *before* any task is visible: a
-        // worker may pop a task the moment it is pushed, and
-        // `note_taken` must never see a count that does not yet
-        // include it.
-        lock(&self.shared.state).queued += n;
-        // Deal the wrapped tasks round-robin across the worker deques,
-        // then wake everyone once. The wrapper is infallible: the
-        // payload runs under `catch_unwind`, and its `Slot` settles on
-        // drop whether or not the task ran, so neither a panicking
-        // task nor a dropped one can hang its job.
-        for (index, task) in tasks.into_iter().enumerate() {
-            let slot = Slot {
-                index,
-                outcome: None,
-                job: Arc::clone(&results),
-            };
-            let run = Box::new(move || slot.settle(catch_unwind(AssertUnwindSafe(task))));
-            lock(&self.shared.deques[(job as usize + index) % self.workers])
-                .push_back(QueuedTask { job, run });
-        }
-        self.shared.work_ready.notify_all();
-        // Caller-help: drain this job's still-queued tasks, then park
-        // until the in-flight ones settle. Tasks are queued exactly
-        // once (above), so once the scan comes up empty every
-        // remaining task is in flight on a worker — and each settles
-        // under the lock the park releases, so the park cannot miss
-        // the last one.
-        while let Some(task) = self.shared.grab_for_job(job) {
-            (task.run)();
-        }
-        let slots = std::mem::take(
-            &mut results
-                .settled
-                .wait_while(lock(&results.state), |(_, left)| *left > 0)
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .0,
-        );
-        // Every slot is filled now; the first panic in submission
-        // order is re-raised.
-        slots
-            .into_iter()
-            .map(|slot| match slot.expect("settled job filled every slot") {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
+    /// Leases up to `want` extra threads for one fan-out (at most
+    /// `workers − 1`), without blocking. The fan-out then runs one
+    /// chunk per thread on `1 + tokens` threads, spawned when that is
+    /// more than one, which is what the counters record.
+    pub(crate) fn lease(&self, want: usize) -> Lease<'_> {
+        let want = want.min(self.workers - 1);
+        let free = self
+            .free
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |free| {
+                Some(free - free.min(want))
             })
-            .collect()
+            .expect("the update always succeeds");
+        let tokens = free.min(want);
+        self.jobs.fetch_add(1, Ordering::Relaxed);
+        if tokens == 0 {
+            self.caller_ran.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.executed
+                .fetch_add(tokens as u64 + 1, Ordering::Relaxed);
+        }
+        Lease { pool: self, tokens }
     }
 }
 
-impl Drop for StealPool {
+/// Tokens leased from a [`StealPool`]; they return to the budget on
+/// drop, including when a shard's panic unwinds through the fan-out.
+pub(crate) struct Lease<'p> {
+    pool: &'p StealPool,
+    tokens: usize,
+}
+
+impl Lease<'_> {
+    /// The extra threads this lease grants.
+    #[inline]
+    pub(crate) fn tokens(&self) -> usize {
+        self.tokens
+    }
+}
+
+impl Drop for Lease<'_> {
     fn drop(&mut self) {
-        lock(&self.shared.state).shutdown = true;
-        self.shared.work_ready.notify_all();
-        for handle in self.handles.drain(..) {
-            let _unused = handle.join();
-        }
+        self.pool.free.fetch_add(self.tokens, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use crate::Scheduler;
+    use std::sync::Arc;
+    use std::thread;
     use std::time::Duration;
+
+    /// Sum of `0..len` on `exec`, through the reduction primitive.
+    fn sum(exec: &Scheduler, len: usize) -> Option<u64> {
+        exec.par_map_reduce(len, |r| r.map(|i| i as u64).sum::<u64>(), |a, b| *a += b)
+    }
+
+    /// How many chunks the next fan-out over `len` items on a fresh
+    /// scheduler of `workers` runs, read off the counters.
+    fn next_fan_out_chunks(pool: &Arc<StealPool>, workers: usize, len: usize) -> u64 {
+        let before = pool.stats();
+        let exec = Scheduler::shared(workers, Arc::clone(pool));
+        assert_eq!(
+            exec.par_map_indexed(len, |i| i),
+            (0..len).collect::<Vec<_>>()
+        );
+        let after = pool.stats();
+        (after.executed - before.executed) + (after.caller_ran - before.caller_ran)
+    }
 
     #[test]
     fn results_come_back_in_submission_order() {
         for workers in [1usize, 2, 7, 8] {
-            let pool = StealPool::new(workers);
-            let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..100usize)
-                .map(|i| Box::new(move || i * 3) as Box<dyn FnOnce() -> usize + Send>)
-                .collect();
-            let out = pool.run_tasks(tasks);
+            let exec = Scheduler::shared(workers, Arc::new(StealPool::new(workers)));
+            let out = exec.par_map_indexed(100, |i| i * 3);
             assert_eq!(
                 out,
                 (0..100usize).map(|i| i * 3).collect::<Vec<_>>(),
@@ -374,20 +180,28 @@ mod tests {
 
     #[test]
     fn many_small_jobs_settle_on_multi_worker_pools() {
-        // Workers pop tasks while the batch is still being dealt; on
-        // ≥ 2 CPUs this is where a queued count published after the
-        // push underflowed, killed a worker and hung its job. The
-        // watchdog turns such a hang into a failure.
+        // Many short fan-outs racing for the same tokens; the watchdog
+        // turns a leaked token or a stuck join into a failure.
         let (tx, rx) = std::sync::mpsc::channel();
         let jobs = thread::spawn(move || {
             for workers in 2..=8usize {
-                let pool = StealPool::new(workers);
-                for job in 0..200usize {
-                    let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16usize)
-                        .map(|i| Box::new(move || job + i) as Box<dyn FnOnce() -> usize + Send>)
-                        .collect();
-                    assert_eq!(pool.run_tasks(tasks), (job..job + 16).collect::<Vec<_>>());
+                let pool = Arc::new(StealPool::new(workers));
+                let jobs: Vec<_> = (0..2usize)
+                    .map(|job| {
+                        let exec = Scheduler::shared(workers, Arc::clone(&pool));
+                        thread::spawn(move || {
+                            for round in 0..100usize {
+                                let base = job * 1000 + round;
+                                let out = exec.par_map_indexed(16, |i| base + i);
+                                assert_eq!(out, (base..base + 16).collect::<Vec<_>>());
+                            }
+                        })
+                    })
+                    .collect();
+                for job in jobs {
+                    job.join().expect("job thread");
                 }
+                assert_eq!(pool.free.load(Ordering::Relaxed), workers);
             }
             tx.send(()).expect("watchdog listening");
         });
@@ -397,145 +211,122 @@ mod tests {
     }
 
     #[test]
-    fn dropped_task_settles_its_slot_with_an_error() {
-        // A worker that dies holding a popped task drops it unrun; its
-        // slot must settle (so the caller re-raises) rather than stay
-        // empty and hang the job.
-        let job = Arc::new(JobResults {
-            state: Mutex::new((vec![None::<thread::Result<u8>>], 1)),
-            settled: Condvar::new(),
-        });
-        drop(Slot {
-            index: 0,
-            outcome: None,
-            job: Arc::clone(&job),
-        });
-        let (slots, left) = &mut *lock(&job.state);
-        assert_eq!(*left, 0, "the dropped task counted down");
-        let payload = slots[0].take().unwrap().expect_err("slot holds an error");
-        let msg = payload.downcast_ref::<&str>().copied();
-        assert_eq!(msg, Some("pool task dropped before it ran"));
-    }
-
-    #[test]
     fn empty_job_returns_immediately() {
-        let pool = StealPool::new(2);
-        let out: Vec<u8> = pool.run_tasks(Vec::new());
-        assert!(out.is_empty());
+        let pool = Arc::new(StealPool::new(2));
+        let exec = Scheduler::shared(4, Arc::clone(&pool));
+        assert!(exec.par_map_indexed(0, |i| i).is_empty());
+        assert_eq!(sum(&exec, 0), None);
         assert_eq!(pool.stats().jobs, 0);
     }
 
     #[test]
     fn concurrent_jobs_share_the_pool_without_cross_talk() {
-        // Eight jobs on a two-worker pool, each summing its own
-        // shards; every job must see exactly its own results.
+        // Eight jobs on a two-token budget, each mapping its own
+        // items; every job must see exactly its own results.
         let pool = Arc::new(StealPool::new(2));
-        thread::scope(|s| {
-            for job in 0..8u64 {
-                let pool = Arc::clone(&pool);
-                s.spawn(move || {
-                    let tasks: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..40u64)
-                        .map(|i| {
-                            Box::new(move || job * 1000 + i) as Box<dyn FnOnce() -> u64 + Send>
-                        })
-                        .collect();
-                    let out = pool.run_tasks(tasks);
+        let jobs: Vec<_> = (0..8u64)
+            .map(|job| {
+                let exec = Scheduler::shared(4, Arc::clone(&pool));
+                thread::spawn(move || {
+                    let out = exec.par_map_indexed(40, |i| job * 1000 + i as u64);
                     assert_eq!(out, (0..40u64).map(|i| job * 1000 + i).collect::<Vec<_>>());
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        for job in jobs {
+            job.join().expect("job thread");
+        }
         let stats = pool.stats();
         assert_eq!(stats.jobs, 8);
-        assert_eq!(
-            stats.executed + stats.caller_ran,
-            8 * 40,
-            "every task ran exactly once: {stats:?}"
+        assert_eq!(stats.stolen, 0);
+        assert!(
+            stats.executed + stats.caller_ran >= 8,
+            "every job ran at least one chunk: {stats:?}"
         );
+        assert_eq!(pool.free.load(Ordering::Relaxed), 2, "every token is back");
     }
 
     #[test]
-    fn caller_help_makes_progress_on_a_saturated_pool() {
-        // One worker, pinned down by a slow task from another job:
-        // the second job must still complete promptly via caller-help.
-        let pool = Arc::new(StealPool::new(1));
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let slow_gate = Arc::clone(&gate);
-        let slow_pool = Arc::clone(&pool);
-        let slow = thread::spawn(move || {
-            let task: Box<dyn FnOnce() -> u8 + Send> = Box::new(move || {
-                let (released, cv) = &*slow_gate;
-                let mut go = lock(released);
-                while !*go {
-                    go = cv.wait(go).unwrap_or_else(|p| p.into_inner());
-                }
-                1
-            });
-            slow_pool.run_tasks(vec![task])
-        });
-        // Give the worker time to pick up the blocking task.
-        thread::sleep(Duration::from_millis(50));
-        let tasks: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..10u64)
-            .map(|i| Box::new(move || i) as Box<dyn FnOnce() -> u64 + Send>)
-            .collect();
-        let out = pool.run_tasks(tasks);
-        assert_eq!(out, (0..10u64).collect::<Vec<_>>());
-        assert!(pool.stats().caller_ran >= 1, "{:?}", pool.stats());
-        let (released, cv) = &*gate;
-        *lock(released) = true;
-        cv.notify_all();
-        assert_eq!(slow.join().unwrap(), vec![1]);
+    fn exhausted_budget_runs_inline_and_completes() {
+        // Another job holds every token: the fan-out must neither
+        // block nor spawn, and still return the full result.
+        let pool = Arc::new(StealPool::new(3));
+        let held = [pool.lease(usize::MAX), pool.lease(usize::MAX)];
+        assert_eq!(held.iter().map(Lease::tokens).sum::<usize>(), 3);
+        let before = pool.stats();
+        let exec = Scheduler::shared(4, Arc::clone(&pool));
+        assert_eq!(sum(&exec, 1000), Some(499_500));
+        let after = pool.stats();
+        assert_eq!(after.executed, before.executed, "nothing spawned");
+        assert_eq!(after.caller_ran, before.caller_ran + 1);
+        drop(held);
+        assert_eq!(next_fan_out_chunks(&pool, 4, 1000), 3);
     }
 
     #[test]
     fn panicking_task_is_contained_and_reraised() {
         let pool = Arc::new(StealPool::new(2));
-        let ran_after = Arc::new(AtomicUsize::new(0));
-        let outcome = {
-            let ran_after = Arc::clone(&ran_after);
-            let pool = Arc::clone(&pool);
-            thread::spawn(move || {
-                let tasks: Vec<Box<dyn FnOnce() -> u8 + Send>> = vec![
-                    Box::new(|| 1),
-                    Box::new(|| panic!("shard exploded")),
-                    Box::new(move || {
-                        ran_after.fetch_add(1, Ordering::Relaxed);
-                        3
-                    }),
-                ];
-                pool.run_tasks(tasks)
+        let exec = Scheduler::shared(3, Arc::clone(&pool));
+        let outcome = thread::spawn(move || {
+            exec.par_map_indexed(3, |i| {
+                if i == 1 {
+                    panic!("shard exploded");
+                }
+                i
             })
-            .join()
-        };
+        })
+        .join();
         let payload = outcome.expect_err("panic must reach the submitting caller");
         let msg = payload
             .downcast_ref::<&str>()
             .copied()
             .unwrap_or("non-str payload");
         assert!(msg.contains("shard exploded"), "{msg}");
-        // The batch settled fully before re-raising, and the pool
-        // survives for the next job.
-        assert_eq!(ran_after.load(Ordering::Relaxed), 1);
-        let ok: Vec<u8> = pool.run_tasks(vec![Box::new(|| 7)]);
-        assert_eq!(ok, vec![7]);
+        // The budget survives for the next job.
+        let exec = Scheduler::shared(3, Arc::clone(&pool));
+        assert_eq!(exec.par_map_indexed(3, |i| i + 7), vec![7, 8, 9]);
+    }
+
+    #[test]
+    fn panicking_shard_returns_its_lease() {
+        // A shard panics while its fan-out holds every token it could
+        // lease; unwinding must give them back, so the next fan-out
+        // gets the full budget again.
+        let pool = Arc::new(StealPool::new(4));
+        assert_eq!(next_fan_out_chunks(&pool, 4, 100), 4);
+        for _ in 0..3 {
+            let exec = Scheduler::shared(4, Arc::clone(&pool));
+            let outcome = thread::spawn(move || {
+                exec.par_map_reduce(100, |r| assert!(r.start == 0, "shard exploded"), |_, ()| ())
+            })
+            .join();
+            assert!(outcome.is_err(), "the panic reached the caller");
+            assert_eq!(next_fan_out_chunks(&pool, 4, 100), 4, "full budget again");
+        }
     }
 
     #[test]
     fn oversized_pools_are_allowed() {
-        // Unlike Scheduler::new, the pool is not clamped to the host:
-        // a 9-worker pool on a 1-CPU box must still work.
-        let pool = StealPool::new(9);
+        // Unlike Scheduler::new, the budget is not clamped to the
+        // host: a 9-token budget on a 1-CPU box must still work.
+        let pool = Arc::new(StealPool::new(9));
         assert_eq!(pool.workers(), 9);
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..30usize)
-            .map(|i| Box::new(move || i + 1) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        assert_eq!(pool.run_tasks(tasks), (1..=30).collect::<Vec<_>>());
+        let exec = Scheduler::shared(9, Arc::clone(&pool));
+        assert_eq!(
+            exec.par_map_indexed(30, |i| i + 1),
+            (1..=30).collect::<Vec<_>>()
+        );
+        assert_eq!(pool.stats().executed, 9);
     }
 
     #[test]
     fn zero_workers_clamps_to_one() {
-        let pool = StealPool::new(0);
+        let pool = Arc::new(StealPool::new(0));
         assert_eq!(pool.workers(), 1);
-        let out: Vec<u8> = pool.run_tasks(vec![Box::new(|| 42)]);
-        assert_eq!(out, vec![42]);
+        // One token leaves no extra thread to lease: runs inline.
+        let exec = Scheduler::shared(4, Arc::clone(&pool));
+        assert_eq!(sum(&exec, 10), Some(45));
+        assert_eq!(pool.stats().caller_ran, 1);
+        assert_eq!(pool.stats().executed, 0);
     }
 }

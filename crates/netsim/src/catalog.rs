@@ -274,7 +274,7 @@ impl DatasetSpec {
 
     /// Like [`DatasetSpec::population_sized_jobs`], but synthesizing
     /// on a caller-provided scheduler, so fleet jobs sharing a
-    /// work-stealing pool reuse their own execution context. The
+    /// thread budget reuse their own execution context. The
     /// scheduler's worker count fixes the shard geometry exactly as
     /// `jobs` does above; the output depends on nothing else.
     pub fn population_sized_exec(

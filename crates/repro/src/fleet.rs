@@ -5,14 +5,14 @@
 //! This module runs that entire fleet under one command: all sixteen
 //! networks execute their full staged pipeline — synthesis, streaming
 //! ingest, profiling, segmentation, mining, BN training, generation,
-//! evaluation — **concurrently**, as sixteen jobs submitting shard
-//! tasks to one shared work-stealing pool
+//! evaluation — **concurrently**, as sixteen jobs whose fan-outs lease
+//! their threads from one shared thread budget
 //! ([`eip_exec::pool::StealPool`]), and every trained model is
 //! persisted into a single [`ModelStore`] directory that `eip serve`
 //! can serve as-is.
 //!
-//! Determinism is the headline invariant: the shared pool is an
-//! execution venue, not an output parameter. Shard geometry is keyed
+//! Determinism is the headline invariant: the shared budget decides
+//! how many threads run a shard, not what it computes. Shard geometry is keyed
 //! by `--jobs` and every hot path draws counter-based per-index
 //! randomness, so each network's model and candidate stream are
 //! byte-identical to a solo serial run. The fleet does not take this
@@ -90,16 +90,16 @@ pub fn fleet_run(cfg: &RunConfig, opts: &FleetOptions) {
     );
 
     // Phase 1: the concurrent fleet. One job thread per network, all
-    // submitting shard tasks to the one shared pool; each job
+    // leasing fan-out threads from the one shared budget; each job
     // persists its model into the shared store as it finishes.
     //
     // Admission control: at most `pool_size` jobs execute at once.
-    // The jobs are CPU-bound, so running more of them than the pool
-    // has workers buys no throughput — it only evicts each other's
+    // The jobs are CPU-bound, so running more of them than the budget
+    // has tokens buys no throughput — it only evicts each other's
     // cache-hot working sets on every context switch (measured ~1.6×
     // the sequential sum on a single-CPU host with all 16 unleashed).
     // All sixteen jobs are still in flight under the one command and
-    // share the one pool; the gate only bounds how many are *running*.
+    // share the one budget; the gate only bounds how many are *running*.
     let pool = Arc::new(StealPool::new(pool_size));
     let gate = Arc::new((std::sync::Mutex::new(0usize), std::sync::Condvar::new()));
     let fleet_start = Instant::now();
@@ -150,10 +150,10 @@ pub fn fleet_run(cfg: &RunConfig, opts: &FleetOptions) {
     );
     println!(
         "concurrent fleet: {fleet_wall:.3} s wall — {} models in {store_dir} \
-         (pool: {} shard tasks, {} stolen, {} caller-ran)\n",
+         (pool: {} jobs, {} executed, {} caller-ran)\n",
         listed.len(),
-        stats.executed + stats.caller_ran,
-        stats.stolen,
+        stats.jobs,
+        stats.executed,
         stats.caller_ran
     );
 
@@ -211,8 +211,8 @@ pub fn fleet_run(cfg: &RunConfig, opts: &FleetOptions) {
     }
 }
 
-/// One network, end to end. `pool: Some` → fleet mode (shared
-/// scheduler, shard tasks on the pool); `None` → the solo serial
+/// One network, end to end. `pool: Some` → fleet mode (a scheduler
+/// on the shared thread budget); `None` → the solo serial
 /// oracle. Both use the same `--jobs` shard geometry, so the outputs
 /// must be byte-identical — the caller asserts it.
 fn run_network(
@@ -340,7 +340,7 @@ fn render_fleet_json(
     out.push_str("{\n");
     out.push_str(
         "  \"comment\": \"Fleet-scale concurrent sweep (`repro --fleet`): all 16 \
-         Table-1 networks end-to-end on one shared work-stealing pool, vs the sum \
+         Table-1 networks end-to-end on one shared thread budget, vs the sum \
          of 16 solo serial runs. Models and candidate streams are asserted \
          byte-identical between the two phases; only the timings vary.\",\n",
     );

@@ -12,7 +12,7 @@
 //!                             # stage timings -> crates/bench/BENCH_full.json
 //! repro --full --jobs 8 --bench-out /tmp/full.json
 //! repro --fleet               # all 16 Table-1 networks concurrently on one
-//!                             # shared work-stealing pool, models persisted
+//!                             # shared thread budget, models persisted
 //!                             # into a ModelStore dir, timings ->
 //!                             # crates/bench/BENCH_fleet.json
 //! repro --fleet --pool 8 --store-out /tmp/models --bench-out /tmp/fleet.json
@@ -153,7 +153,7 @@ fn main() {
     }
 
     // `--fleet` is its own mode: the whole Table-1 network fleet,
-    // concurrently, on one shared work-stealing pool.
+    // concurrently, on one shared thread budget.
     if fleet {
         if full || all || table.is_some() || figure.is_some() || ablation {
             die("--fleet runs alone (it already covers every network)");
@@ -279,7 +279,7 @@ fn usage() {
          crates/bench/BENCH_full.json (override with --bench-out); its ingest\n\
          stage streams a synthetic corpus in --chunk-mb MiB chunks\n\n\
          --fleet runs all 16 Table-1 networks end-to-end concurrently on one\n\
-         shared work-stealing pool (--pool workers, default: all cores; --jobs\n\
+         shared thread budget (--pool threads, default: all cores; --jobs\n\
          still fixes the deterministic shard geometry), persists every model\n\
          into --store-out (default target/fleet_models) for `eip serve`, checks\n\
          each network byte-identical to a solo serial run, and records wall-clock\n\

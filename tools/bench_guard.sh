@@ -45,7 +45,7 @@
 # Plus one edge from the fleet driver itself:
 #
 #   * stage_fleet: `repro --fleet` (all 16 Table-1 networks end-to-end
-#     concurrently on the shared work-stealing pool) vs its own
+#     concurrently on one shared thread budget) vs its own
 #     sequential-sum baseline (the same 16 networks solo, one at a
 #     time), read back from the BENCH_fleet.json the run writes. The
 #     margin is two-regime: on a multi-core host the concurrent fleet

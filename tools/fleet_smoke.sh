@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke for the fleet pipeline: run `repro --fleet` at toy
-# scale (all 16 Table-1 networks concurrently on the shared
-# work-stealing pool), assert one persisted .eipm per network, boot
+# scale (all 16 Table-1 networks concurrently on one shared thread
+# budget), assert one persisted .eipm per network, boot
 # `eip serve` over the populated store, and byte-diff pinned-seed GEN
 # batches from three networks against `eip generate --model-in` on
 # the same containers — the fleet-train-once/serve-anywhere
@@ -22,7 +22,7 @@ fi
 work="${1:-$(mktemp -d /tmp/eip_fleet_smoke.XXXXXX)}"
 echo "fleet_smoke: working in $work"
 
-# The concurrent fleet at smoke scale: 16 networks, shared pool,
+# The concurrent fleet at smoke scale: 16 networks, shared budget,
 # models persisted into one store, byte-identity vs the solo serial
 # baseline asserted inside the run itself.
 "$repro" --fleet --candidates 2000 --jobs 2 \
