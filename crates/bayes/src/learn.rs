@@ -21,23 +21,26 @@
 //! far, no larger set can win and the search stops. This keeps the
 //! search exact without enumerating all 2^k subsets in typical cases.
 //!
-//! ## Two engines, one result
+//! ## One engine, one oracle
 //!
-//! * **Serial oracle** ([`LearnOptions::parallelism`] ≤ 1): the
-//!   reference implementation — one full-data pass per candidate
-//!   parent set through a `HashMap` ([`family_score`]) and another
-//!   per fitted CPT ([`fit_cpt`]). Simple, and the ground truth the
-//!   sharded engine is verified against.
-//! * **Sharded count-reuse engine** (`parallelism` > 1): per child,
-//!   one sharded pass over the columns counts the dense joint of
-//!   every maximum-size candidate family
+//! * **Sharded count-reuse engine** ([`learn_structure_sharded`], the
+//!   production path at every worker count): per child, one sharded
+//!   pass over the columns counts the dense joint of every
+//!   maximum-size candidate family
 //!   ([`crate::counts::count_families`]); every smaller candidate's
 //!   score falls out of a superset table by marginalization, and the
 //!   winner's table is fitted into the CPT directly — no further data
-//!   passes. The search order, tie margin, and admissible bound are
-//!   identical to the oracle's, so the learned network (structure and
-//!   CPT bytes) matches at any worker count — see the equivalence
-//!   proptests in `tests/proptests.rs`.
+//!   passes. With one worker the single shard runs inline.
+//! * **Serial oracle** ([`learn_structure`], test and benchmark
+//!   support): one full-data pass per candidate parent set through a
+//!   `HashMap` ([`family_score`]) and another per fitted CPT
+//!   ([`fit_cpt`]). Simple, and the ground truth the engine is
+//!   verified against.
+//!
+//! The search order, tie margin, and admissible bound are identical in
+//! both, so the learned network (structure and CPT bytes) matches at
+//! any worker count — see the equivalence proptests in
+//! `tests/proptests.rs`.
 
 use crate::counts::{count_families, FamilyTable};
 use crate::cpt::Cpt;
@@ -58,11 +61,6 @@ pub struct LearnOptions {
     pub alpha: f64,
     /// Variable names (defaults to "X0", "X1", … when empty).
     pub names: Vec<String>,
-    /// Worker threads for the counting passes (clamped to ≥ 1). At 1
-    /// the serial oracle runs; above 1 the sharded count-reuse engine
-    /// runs on an [`eip_exec::Scheduler`]. The learned network is
-    /// identical either way; only wall-clock changes.
-    pub parallelism: usize,
 }
 
 impl Default for LearnOptions {
@@ -71,25 +69,20 @@ impl Default for LearnOptions {
             max_parents: 2,
             alpha: 0.5,
             names: Vec::new(),
-            parallelism: 1,
         }
     }
 }
 
 /// Learns a Bayesian network from categorical data under the
-/// ordering constraint (variable i may only have parents < i).
+/// ordering constraint (variable i may only have parents < i) — the
+/// serial oracle the sharded engine ([`learn_structure_sharded`]) is
+/// verified against (see the [module docs](self)).
 ///
-/// Returns the network with fitted (smoothed) CPTs. With
-/// [`LearnOptions::parallelism`] > 1 the sharded count-reuse engine
-/// runs (see the [module docs](self)); the result is identical to the
-/// serial oracle at any worker count.
+/// Returns the network with fitted (smoothed) CPTs.
 ///
 /// # Panics
 /// Panics if the dataset is empty.
 pub fn learn_structure(data: &Dataset, opts: &LearnOptions) -> BayesNet {
-    if opts.parallelism > 1 {
-        return learn_structure_sharded(data, opts, &Scheduler::new(opts.parallelism));
-    }
     assert!(!data.is_empty(), "cannot learn from an empty dataset");
     let n_vars = data.num_vars();
     let mut nodes = Vec::with_capacity(n_vars);
@@ -106,9 +99,9 @@ pub fn learn_structure(data: &Dataset, opts: &LearnOptions) -> BayesNet {
     BayesNet::new(nodes)
 }
 
-/// Learns the network on the sharded count-reuse engine with an
-/// explicit scheduler (the engine [`learn_structure`] dispatches to
-/// when `parallelism` > 1, exposed for the equivalence tests).
+/// Learns the network on the sharded count-reuse engine — the
+/// production learner at every worker count. The scheduler's worker
+/// count fixes the shard geometry; the network is identical at any.
 ///
 /// Per child: one sharded pass counts every maximum-size family's
 /// dense joint table, subset candidates are scored by marginalizing a
@@ -536,14 +529,9 @@ mod tests {
     fn sharded_engine_learns_identical_network() {
         let data = dependent_dataset(2000);
         let serial = learn_structure(&data, &LearnOptions::default());
-        for workers in [2usize, 3, 8] {
-            let sharded = learn_structure(
-                &data,
-                &LearnOptions {
-                    parallelism: workers,
-                    ..Default::default()
-                },
-            );
+        for workers in [1usize, 2, 3, 8] {
+            let sharded =
+                learn_structure_sharded(&data, &LearnOptions::default(), &Scheduler::new(workers));
             for i in 0..data.num_vars() {
                 assert_eq!(sharded.node(i).parents, serial.node(i).parents, "node {i}");
                 assert_eq!(

@@ -46,26 +46,26 @@
 //! topological order, which keeps sampling and learning simple and
 //! makes the structure search exact rather than heuristic.
 //!
-//! ## Fast engine + oracle pattern
+//! ## Engine + oracle pattern
 //!
-//! Both hot paths ship two implementations behind one result,
-//! mirroring the workspace's mining refactor:
+//! Both hot paths ship one production engine and one reference
+//! implementation that survives as test support:
 //!
-//! * **Structure learning** ([`learn_structure`], switched by
-//!   [`LearnOptions::parallelism`]): the serial oracle re-scans the
-//!   data per candidate through a `HashMap` and stays the reference
-//!   implementation, while the sharded count-reuse engine counts each
-//!   child's maximum-size candidate families in one sharded column
-//!   pass and derives every smaller candidate (and the final CPT)
-//!   from those dense tables by marginalization.
+//! * **Structure learning**: the sharded count-reuse engine
+//!   ([`learn_structure_sharded`], the only production learner, at any
+//!   worker count) counts each child's maximum-size candidate
+//!   families in one sharded column pass and derives every smaller
+//!   candidate (and the final CPT) from those dense tables by
+//!   marginalization; the serial oracle ([`learn_structure`])
+//!   re-scans the data per candidate through a `HashMap`.
 //! * **Sampling** (compile-then-sample): [`sample_row`] is the
 //!   allocating reference sampler; [`BayesNet::compile`] bakes the
 //!   same inverse-CDF semantics into a flat [`SamplingPlan`] whose
 //!   rows are byte-identical to the oracle's on the same RNG stream.
 //!
-//! Both engine pairs share their decision semantics exactly, so fast
-//! and oracle paths produce identical output — asserted by the
-//! equivalence proptests in `tests/proptests.rs`.
+//! Each engine shares its oracle's decision semantics exactly, so both
+//! produce identical output — asserted by the equivalence proptests
+//! in `tests/proptests.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

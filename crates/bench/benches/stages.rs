@@ -1,23 +1,26 @@
 //! Per-stage benchmarks of the Entropy/IP pipeline, timed at the real
 //! stage boundaries of the typed [`Pipeline`] API: profile (streaming
-//! ingestion + entropy/ACR), segmentation, mining (serial and
-//! parallel), BN training, candidate generation (the `sample_row`
-//! oracle vs the compiled sampling plan on the batched scheduler) and
-//! candidate evaluation (the tree/hash bookkeeping reference vs the
-//! sharded sort-merge-join), and the §5.5 scan evaluation (the
-//! `HashSet` reference vs the per-shard sort-merge join) — plus the
-//! windowing grid and posterior inference that sit beside the
-//! pipeline.
+//! ingestion + entropy/ACR), segmentation, mining and BN training
+//! (each serial oracle vs its sharded engine), candidate generation
+//! (the `sample_row` oracle vs the compiled sampling plan on the
+//! batched scheduler) and candidate evaluation (the tree/hash
+//! bookkeeping reference vs the sharded sort-merge-join), and the
+//! §5.5 scan evaluation (the `HashSet` reference vs the per-shard
+//! sort-merge join) — plus the windowing grid and posterior inference
+//! that sit beside the pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eip_addr::set::SplitMix64;
 use eip_addr::{AddressSet, DedupSet, Ip6};
+use eip_bayes::{learn_structure, LearnOptions};
 use eip_exec::Scheduler;
 use eip_netsim::{
     dataset, evaluate_scan_reference, evaluate_scan_sharded, population_adherence, Responder,
 };
 use eip_stats::WindowGrid;
-use entropy_ip::{Config, Generator, Mined, Pipeline, Profiled, Segmented};
+use entropy_ip::baseline::encoded_dataset;
+use entropy_ip::mining::mine_segment;
+use entropy_ip::{Config, Generator, Mined, MiningOptions, Pipeline, Profiled, Segmented};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -98,20 +101,35 @@ fn bench_segment_stage(c: &mut Criterion) {
     });
 }
 
-/// Stage 3: mining an existing segmentation — the serial per-segment
-/// reference vs the sharded engine (per-shard histograms for every
-/// segment in one pass, merged, then thresholded). The two produce
-/// identical dictionaries; `tools/bench_guard.sh` fails CI if the
-/// sharded path loses its speed edge. Benched at 50k addresses: the
-/// SWAR segment extraction cut the per-address cost of both paths, so
-/// at smaller scales the engine's fixed per-shard histogram and merge
-/// overhead hides its one-pass advantage.
+/// Stage 3: mining an existing segmentation — the per-segment
+/// [`mine_segment`] oracle (one value pass per segment) vs the
+/// sharded engine (per-shard histograms for every segment in one
+/// pass, merged, then thresholded). The two produce identical
+/// dictionaries; `tools/bench_guard.sh` fails CI if the sharded path
+/// loses its speed edge. Benched at 50k addresses: the SWAR segment
+/// extraction cut the per-address cost of both paths, so at smaller
+/// scales the engine's fixed per-shard histogram and merge overhead
+/// hides its one-pass advantage.
 fn bench_mine_stage(c: &mut Criterion) {
     let mut g = c.benchmark_group("stage_mine");
     g.sample_size(10);
     let serial = segmented(50_000);
+    let opts = MiningOptions::default();
     g.bench_function("serial_50000", |b| {
-        b.iter(|| serial.mine());
+        b.iter(|| {
+            serial
+                .segments()
+                .iter()
+                .map(|seg| {
+                    let values: Vec<u128> = serial
+                        .addresses()
+                        .iter()
+                        .map(|ip| ip.segment(seg.start, seg.end))
+                        .collect();
+                    mine_segment(seg, &values, &opts)
+                })
+                .collect::<Vec<_>>()
+        });
     });
     let parallel = Pipeline::new(Config::default().with_parallelism(4))
         .profile(population(50_000).iter())
@@ -123,12 +141,13 @@ fn bench_mine_stage(c: &mut Criterion) {
     g.finish();
 }
 
-/// Stage 4: BN training on existing dictionaries — the serial
-/// per-candidate rescan oracle vs the sharded count-reuse engine
-/// (columnar encode + one dense contingency pass per child, CPTs
-/// fitted from the same tables). The two learn identical networks;
-/// `tools/bench_guard.sh` fails CI if the count-reuse engine stops
-/// beating the serial reference.
+/// Stage 4: BN training on existing dictionaries — the serial oracle
+/// (row encode with [`encoded_dataset`], then the per-candidate
+/// rescan learner [`learn_structure`]) vs the sharded count-reuse
+/// engine (columnar encode + one dense contingency pass per child,
+/// CPTs fitted from the same tables). The two learn identical
+/// networks; `tools/bench_guard.sh` fails CI if the count-reuse
+/// engine stops beating the serial reference.
 fn bench_train_stage(c: &mut Criterion) {
     let mut g = c.benchmark_group("stage_train");
     g.sample_size(10);
@@ -139,8 +158,19 @@ fn bench_train_stage(c: &mut Criterion) {
         });
     }
     let serial = mined(10_000);
+    // The dictionaries to encode against; the oracle relearns the BN.
+    let dictionaries = serial.train().unwrap().into_model();
+    let opts = LearnOptions {
+        names: serial
+            .analysis()
+            .segments
+            .iter()
+            .map(|seg| seg.label.clone())
+            .collect(),
+        ..LearnOptions::default()
+    };
     g.bench_function("serial_10000", |b| {
-        b.iter(|| serial.train().unwrap());
+        b.iter(|| learn_structure(&encoded_dataset(&dictionaries, serial.addresses()), &opts));
     });
     let parallel = Pipeline::new(Config::default().with_parallelism(4))
         .profile(population(10_000).iter())

@@ -64,12 +64,14 @@
 //! ```
 //!
 //! All fallible operations report the unified [`EipError`].
-//! [`Config::parallelism`] routes profiling and mining onto the
-//! deterministic chunked scheduler ([`eip_exec::Scheduler`]):
-//! profiling shards the address stream and merges per-shard nybble
-//! counts, and mining builds per-shard value histograms for every
-//! segment in one pass, merges them, and thresholds — so even a
-//! single heavy segment parallelizes internally.
+//! Every stage runs one sharded engine on the deterministic chunked
+//! scheduler ([`eip_exec::Scheduler`]) that [`Config::parallelism`]
+//! sizes, one worker included: profiling shards the address stream
+//! and merges per-shard nybble counts, mining builds per-shard value
+//! histograms for every segment in one pass, merges them, and
+//! thresholds — so even a single heavy segment parallelizes
+//! internally — and training learns the BN from sharded family
+//! counts.
 //! [`Generator::run_seeded`] batches candidate generation on the same
 //! scheduler. Every result is identical at any worker count.
 

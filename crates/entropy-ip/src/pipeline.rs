@@ -37,24 +37,25 @@
 //! distinct set, byte-identically at any chunk size and worker
 //! count.
 //!
-//! **Parallelism.** [`Config::parallelism`] > 1 routes the hot
-//! stages onto the [`eip_exec::Scheduler`], uniformly across
-//! `Profiled → Segmented → Mined → Trained`: profiling shards the
-//! address stream and merges per-shard [`NybbleCounts`]; mining runs
-//! the sharded engine (one pass builds every segment's value
-//! histogram per input shard, merges them, then thresholds each
-//! segment — see `mine_all`) so even one heavy segment parallelizes
-//! *internally* instead of serializing the whole stage; training
-//! encodes the addresses shard-wise into per-segment byte columns
-//! (see `encode_dataset`) and learns the BN on the count-reuse
-//! engine ([`eip_bayes::learn_structure_sharded`]), which counts each
-//! child's candidate families in one sharded column pass and fits
-//! CPTs from the same tables. Every merge is an exact integer-count
-//! reduction, so the model is identical at any worker count (see the
-//! stage-equivalence and shard-equivalence tests); at `parallelism
-//! == 1` the stages run the simple serial reference implementations
-//! the sharded engine is verified against. Batched candidate
-//! generation rides the same scheduler through
+//! **One engine per stage.** Every stage runs its sharded engine on
+//! the [`eip_exec::Scheduler`] that [`Config::parallelism`] implies,
+//! uniformly across `Profiled → Segmented → Mined → Trained`:
+//! profiling shards the address stream and merges per-shard
+//! [`NybbleCounts`]; mining builds every segment's value histogram
+//! per input shard in one pass, merges them, then thresholds each
+//! segment (see `mine_all`), so even one heavy segment parallelizes
+//! *internally*; training encodes the addresses shard-wise into
+//! per-segment byte columns (see `encode_dataset`) and learns the BN
+//! on the count-reuse engine ([`eip_bayes::learn_structure_sharded`]),
+//! which counts each child's candidate families in one sharded column
+//! pass and fits CPTs from the same tables. With one worker each
+//! engine runs a single shard inline. Every merge is an exact
+//! integer-count reduction, so the model is identical at any worker
+//! count and to the serial oracles
+//! ([`mine_segment`](crate::mining::mine_segment),
+//! [`eip_bayes::learn_structure`]), which survive only as test
+//! support (see the oracle-pin and shard-equivalence tests). Batched
+//! candidate generation rides the same scheduler through
 //! [`Generator::run_seeded`](crate::Generator::run_seeded).
 //!
 //! The one-shot [`EntropyIp::analyze`](crate::EntropyIp::analyze) is
@@ -65,14 +66,14 @@ use std::io::{BufRead, Read};
 use std::sync::Arc;
 
 use eip_addr::{AddressSet, AddressSetBuilder, Ip6};
-use eip_bayes::{learn_structure, Dataset, LearnOptions};
+use eip_bayes::{learn_structure_sharded, Dataset, LearnOptions};
 use eip_exec::Scheduler;
 use eip_stats::{acr4, Histogram, NybbleCounts};
 
 use crate::analysis::Analysis;
 use crate::error::EipError;
 use crate::ingest::{IngestOptions, IngestReport};
-use crate::mining::{mine_segment, mine_segment_histogram, MinedSegment, MiningOptions};
+use crate::mining::{mine_segment_histogram, MinedSegment, MiningOptions};
 use crate::model::{IpModel, Options};
 use crate::segments::{Segment, SegmentationOptions};
 
@@ -86,8 +87,9 @@ pub struct Config {
     pub mining: MiningOptions,
     /// Structure-learning parameters (§4.4).
     pub learning: LearnOptions,
-    /// Worker threads for per-segment mining (1 = serial). The model
-    /// produced is identical at any setting; only wall-clock changes.
+    /// Worker budget of the hot stages: the shard geometry of every
+    /// engine (1 = one shard, run inline). The model produced is
+    /// identical at any setting; only wall-clock changes.
     pub parallelism: usize,
     /// Optional shared thread budget ([`Config::with_pool`]). When
     /// set, every fan-out of the hot stages leases its extra threads
@@ -193,16 +195,16 @@ impl Pipeline {
     }
 
     /// Profiles an already-ingested working set (top-64 reduction and
-    /// deduplication must have happened during ingestion). With
-    /// `parallelism > 1` the nybble counting shards the address
-    /// stream and merges per-shard [`NybbleCounts`] — an exact
-    /// reduction, so the profile is identical at any worker count.
+    /// deduplication must have happened during ingestion). The nybble
+    /// counting shards the address stream and merges per-shard
+    /// [`NybbleCounts`] — an exact reduction, so the profile is
+    /// identical at any worker count.
     fn profile_working(&self, working: AddressSet) -> Result<Profiled, EipError> {
         if working.is_empty() {
             return Err(EipError::EmptySet);
         }
         let exec = self.cfg.scheduler();
-        // Both paths count through the wide slice kernel
+        // Shards count through the wide slice kernel
         // ([`NybbleCounts::observe_slice`]: two independent u64
         // half-walks per address instead of one serialized u128
         // chain); per-shard counts merge exactly, so the profile is
@@ -407,11 +409,10 @@ impl Segmented {
     }
 
     /// Stage 3 with explicit options: re-mines this artifact without
-    /// recomputing the entropy profile or segmentation. With
-    /// `config().parallelism > 1` mining runs the sharded engine
-    /// (per-shard histograms for every segment in one pass over the
-    /// addresses, merged and then thresholded); the result is
-    /// identical at any worker count.
+    /// recomputing the entropy profile or segmentation. Mining runs
+    /// the sharded engine (per-shard histograms for every segment in
+    /// one pass over the addresses, merged and then thresholded); the
+    /// result is identical at any worker count.
     pub fn mine_with(&self, opts: &MiningOptions) -> Mined {
         let mined = mine_all(
             &self.profiled.working,
@@ -464,12 +465,12 @@ impl Mined {
 
     /// Stage 4 with explicit options: retrains the BN on this
     /// artifact without re-mining. Variable names are always the
-    /// segment letters, and the worker budget is always
-    /// [`Config::parallelism`] (overriding
-    /// [`LearnOptions::parallelism`]): the encode loop shards the
-    /// address stream into per-segment byte columns on the scheduler,
-    /// and structure learning runs the count-reuse engine at
-    /// `parallelism > 1` — identical network at any worker count.
+    /// segment letters, and the worker budget is
+    /// [`Config::parallelism`]: the encode loop shards the address
+    /// stream into per-segment byte columns on the scheduler, and
+    /// structure learning runs the count-reuse engine
+    /// ([`eip_bayes::learn_structure_sharded`]) — identical network
+    /// at any worker count.
     ///
     /// The mining stop rule ("if there is <=0.1% of values left, we
     /// finish") can leave a sliver of rare segment values outside
@@ -493,24 +494,16 @@ impl Mined {
             return Err(EipError::EmptySet);
         }
         let mut learn_opts = opts.clone();
-        learn_opts.parallelism = self.config().parallelism;
         learn_opts.names = self
             .analysis()
             .segments
             .iter()
             .map(|s| s.label.clone())
             .collect();
-        // Hand the configured scheduler to the sharded learner
-        // directly (rather than letting it build its own from
-        // `parallelism`) so a pool-attached pipeline's counting
-        // passes lease their threads from the shared budget too. Same
-        // worker geometry either way — the learned network is
-        // identical.
-        let bn = if learn_opts.parallelism > 1 {
-            eip_bayes::learn_structure_sharded(&dataset, &learn_opts, &exec)
-        } else {
-            learn_structure(&dataset, &learn_opts)
-        };
+        // The configured scheduler carries the shared thread budget,
+        // so a pool-attached pipeline's counting passes lease their
+        // threads from it too.
+        let bn = learn_structure_sharded(&dataset, &learn_opts, &exec);
         Ok(Trained {
             model: IpModel::from_parts(self.analysis().clone(), self.mined.clone(), bn),
         })
@@ -535,42 +528,27 @@ impl Trained {
     }
 }
 
-/// Mines every segment. Two implementations, one result:
+/// Mines every segment on the sharded engine: the §4.3 counting
+/// phase runs as shard-count-then-merge. One pass over each input
+/// shard slices every address's segment values *once*, each shard
+/// run-length-encodes its own [`Histogram`] per segment, shard
+/// histograms merge in shard order (exact integer counts), and the
+/// thresholding core then runs per segment on the scheduler. This
+/// parallelizes *within* every segment, so a single heavy segment
+/// (e.g. a pseudo-random IID segment with a huge histogram) does not
+/// own the critical path. With one worker the single shard runs
+/// inline.
 ///
-/// * **Serial reference** (one worker): one pass per segment, exactly
-///   the original per-segment [`mine_segment`] loop. Simple, and the
-///   oracle the sharded engine is verified against.
-/// * **Sharded engine** (`workers > 1`): the §4.3 counting phase is
-///   restructured as shard-count-then-merge. One pass over each
-///   input shard expands every address's nybbles *once* and pushes
-///   all segment values, each shard run-length-encodes its own
-///   [`Histogram`] per segment, shard histograms merge in shard
-///   order (exact integer counts), and the thresholding core then
-///   runs per segment on the scheduler. This parallelizes *within*
-///   every segment, so a single heavy segment (e.g. a pseudo-random
-///   IID segment with a huge histogram) no longer owns the critical
-///   path the way per-segment fan-out left it.
-///
-/// Both paths are deterministic and produce identical dictionaries at
-/// any worker count — no RNG is involved, and the merge is exact.
+/// No RNG is involved and the merge is exact, so the dictionaries
+/// are identical at any worker count and to the per-segment
+/// [`mine_segment`](crate::mining::mine_segment) oracle (pinned by
+/// `tests::parallel_mining_matches_serial`).
 fn mine_all(
     working: &AddressSet,
     segments: &[Segment],
     opts: &MiningOptions,
     exec: &Scheduler,
 ) -> Vec<MinedSegment> {
-    if exec.is_serial() {
-        return segments
-            .iter()
-            .map(|seg| {
-                let values: Vec<u128> = working
-                    .iter()
-                    .map(|ip| ip.segment(seg.start, seg.end))
-                    .collect();
-                mine_segment(seg, &values, opts)
-            })
-            .collect();
-    }
     let merged: Vec<Histogram> = exec
         .par_map_reduce(
             working.len(),
@@ -626,11 +604,10 @@ fn shard_histograms(addrs: &[Ip6], segments: &[Segment]) -> Vec<Histogram> {
 /// ([`Ip6::segment`]), encodes them into a fixed on-stack buffer,
 /// and appends the row
 /// to its per-segment columns only if **every** segment encodes
-/// (addresses outside the dictionaries are dropped, as in the serial
-/// reference). Shard columns concatenate in shard order, so the row
-/// order — and therefore the dataset — is identical at any worker
-/// count; with one worker the single shard runs inline and *is* the
-/// serial reference.
+/// (addresses outside the dictionaries are dropped, as §4.4's V_k
+/// construction implies). Shard columns concatenate in shard order,
+/// so the row order — and therefore the dataset — is identical at any
+/// worker count; with one worker the single shard runs inline.
 fn encode_dataset(working: &AddressSet, mined: &[MinedSegment], exec: &Scheduler) -> Dataset {
     let cardinalities: Vec<usize> = mined.iter().map(|m| m.cardinality()).collect();
     let columns = exec
@@ -862,14 +839,63 @@ mod tests {
         }
     }
 
+    /// The model the serial oracles build from the same segmentation:
+    /// [`mine_segment`](crate::mining::mine_segment) per segment, a
+    /// row-wise encode, then [`eip_bayes::learn_structure`].
+    fn oracle_model(segmented: &Segmented) -> IpModel {
+        use crate::mining::mine_segment;
+        let opts = MiningOptions::default();
+        let mined: Vec<MinedSegment> = segmented
+            .segments()
+            .iter()
+            .map(|seg| {
+                let values: Vec<u128> = segmented
+                    .addresses()
+                    .iter()
+                    .map(|ip| ip.segment(seg.start, seg.end))
+                    .collect();
+                mine_segment(seg, &values, &opts)
+            })
+            .collect();
+        let rows: Vec<Vec<usize>> = segmented
+            .addresses()
+            .iter()
+            .filter_map(|ip| {
+                mined
+                    .iter()
+                    .map(|m| m.encode(ip.segment(m.segment.start, m.segment.end)))
+                    .collect()
+            })
+            .collect();
+        let cards = mined.iter().map(|m| m.cardinality()).collect();
+        let learn_opts = LearnOptions {
+            names: segmented
+                .segments()
+                .iter()
+                .map(|s| s.label.clone())
+                .collect(),
+            ..LearnOptions::default()
+        };
+        let bn = eip_bayes::learn_structure(&Dataset::new(cards, rows), &learn_opts);
+        IpModel::from_parts(segmented.analysis().clone(), mined, bn)
+    }
+
     #[test]
     fn parallel_mining_matches_serial() {
+        // The engines are the only production path at every worker
+        // count, one included; pin them to the serial oracles.
         let set = training_set();
-        let serial = Pipeline::new(Config::default()).run(set.iter()).unwrap();
-        let parallel = Pipeline::new(Config::default().with_parallelism(4))
-            .run(set.iter())
-            .unwrap();
-        assert_eq!(profile::export(&serial), profile::export(&parallel));
+        let segmented = Pipeline::new(Config::default())
+            .profile(set.iter())
+            .unwrap()
+            .segment();
+        let expect = profile::export(&oracle_model(&segmented));
+        for workers in [1usize, 2, 7] {
+            let model = Pipeline::new(Config::default().with_parallelism(workers))
+                .run(set.iter())
+                .unwrap();
+            assert_eq!(profile::export(&model), expect, "{workers} workers");
+        }
     }
 
     #[test]

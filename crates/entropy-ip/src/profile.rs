@@ -1,9 +1,11 @@
-//! Model export/import as a line-oriented text profile.
+//! Model export as a line-oriented text profile.
 //!
 //! The original Entropy/IP tool saved analysis profiles so the web UI
-//! could reload them. We keep the dependency surface minimal (no
-//! serde), so the format is a simple, documented, line-oriented text
-//! file that round-trips every part of an [`IpModel`]:
+//! could reload them. Here the persisted format is the binary `.eipm`
+//! container ([`crate::store`]); the text profile is write-only. It
+//! spells out every part of an [`IpModel`] bit for bit, so two models
+//! are equal exactly when their exports are — `eip export` prints it,
+//! and the tests use it as their comparison key:
 //!
 //! ```text
 //! entropy-ip-profile v1
@@ -22,16 +24,11 @@
 //! end
 //! ```
 //!
-//! Floats are serialized as hex floats (`f64::to_bits` in hex) so the
-//! round trip is exact.
+//! Floats are written as hex floats (`f64::to_bits` in hex), so equal
+//! text means bit-identical floats.
 
-use eip_bayes::{BayesNet, Cpt, Node};
-
-use crate::analysis::Analysis;
-use crate::error::EipError;
-use crate::mining::{MinedSegment, SegmentValue, ValueKind};
+use crate::mining::ValueKind;
 use crate::model::IpModel;
-use crate::segments::Segment;
 
 /// Serializes a model to the profile text format.
 pub fn export(model: &IpModel) -> String {
@@ -102,230 +99,17 @@ pub fn export(model: &IpModel) -> String {
     out
 }
 
-/// Parses a profile back into a model.
-///
-/// Format violations are reported as [`EipError::Profile`] with the
-/// offending line's context.
-pub fn import(text: &str) -> Result<IpModel, EipError> {
-    import_inner(text).map_err(EipError::Profile)
-}
-
-fn import_inner(text: &str) -> Result<IpModel, String> {
-    let mut lines = text.lines().peekable();
-    let mut expect = |prefix: &str| -> Result<Vec<String>, String> {
-        let line = lines
-            .next()
-            .ok_or_else(|| format!("missing line: {prefix}"))?;
-        let toks: Vec<String> = line.split_whitespace().map(String::from).collect();
-        if toks.first().map(String::as_str) != Some(prefix) {
-            return Err(format!("expected '{prefix}', got '{line}'"));
-        }
-        Ok(toks)
-    };
-
-    let header = expect("entropy-ip-profile")?;
-    if header.get(1).map(String::as_str) != Some("v1") {
-        return Err("unsupported profile version".into());
-    }
-    let width: usize = field(&expect("width")?, 1)?;
-    let num_addresses: usize = field(&expect("addresses")?, 1)?;
-    let entropy = float_array(&expect("entropy")?)?;
-    let acr = float_array(&expect("acr")?)?;
-    let nseg: usize = field(&expect("segments")?, 1)?;
-    let mut segments = Vec::with_capacity(nseg);
-    for _ in 0..nseg {
-        let t = expect("segment")?;
-        segments.push(Segment {
-            label: t.get(1).ok_or("segment label")?.clone(),
-            start: field(&t, 2)?,
-            end: field(&t, 3)?,
-        });
-    }
-    let total_entropy: f64 = entropy[..width].iter().sum();
-    let analysis = Analysis {
-        entropy,
-        acr,
-        total_entropy,
-        segments: segments.clone(),
-        num_addresses,
-        width,
-    };
-
-    let mut mined = Vec::with_capacity(nseg);
-    for seg in &segments {
-        let t = expect("values")?;
-        if t.get(1) != Some(&seg.label) {
-            return Err(format!("values block out of order at {}", seg.label));
-        }
-        let nvals: usize = field(&t, 2)?;
-        let total: u64 = field(&t, 3)?;
-        let mut values = Vec::with_capacity(nvals);
-        for _ in 0..nvals {
-            let v = expect("v")?;
-            let code = v.get(1).ok_or("value code")?.clone();
-            let kind = match v.get(2).map(String::as_str) {
-                Some("exact") => {
-                    let x = u128::from_str_radix(v.get(3).ok_or("exact value")?, 16)
-                        .map_err(|e| e.to_string())?;
-                    ValueKind::Exact(x)
-                }
-                Some("range") => {
-                    let lo = u128::from_str_radix(v.get(3).ok_or("range lo")?, 16)
-                        .map_err(|e| e.to_string())?;
-                    let hi = u128::from_str_radix(v.get(4).ok_or("range hi")?, 16)
-                        .map_err(|e| e.to_string())?;
-                    ValueKind::Range { lo, hi }
-                }
-                other => return Err(format!("bad value kind {other:?}")),
-            };
-            let tail_at = if matches!(kind, ValueKind::Exact(_)) {
-                4
-            } else {
-                5
-            };
-            let count: u64 = field(&v, tail_at)?;
-            let freq = hex_float(v.get(tail_at + 1).ok_or("freq")?)?;
-            values.push(SegmentValue {
-                code,
-                kind,
-                count,
-                freq,
-            });
-        }
-        mined.push(MinedSegment {
-            segment: seg.clone(),
-            values,
-            total,
-        });
-    }
-
-    let nvars: usize = field(&expect("bn")?, 1)?;
-    if nvars != nseg {
-        return Err("BN variable count disagrees with segments".into());
-    }
-    let mut nodes = Vec::with_capacity(nvars);
-    for i in 0..nvars {
-        let t = expect("node")?;
-        let idx: usize = field(&t, 1)?;
-        if idx != i {
-            return Err("node out of order".into());
-        }
-        let name = t.get(2).ok_or("node name")?.clone();
-        let cardinality: usize = field(&t, 3)?;
-        let pword = t.get(4).map(String::as_str);
-        if pword != Some("parents") {
-            return Err("expected 'parents'".into());
-        }
-        let parents: Vec<usize> = t[5..]
-            .iter()
-            .map(|s| s.parse::<usize>().map_err(|e| e.to_string()))
-            .collect::<Result<_, _>>()?;
-        let c = expect("cpt")?;
-        let probs: Vec<f64> = c[1..]
-            .iter()
-            .map(|s| hex_float(s))
-            .collect::<Result<_, _>>()?;
-        let parent_cards: Vec<usize> = parents.iter().map(|&p| mined[p].cardinality()).collect();
-        let expected: usize = parent_cards.iter().product::<usize>().max(1) * cardinality;
-        if probs.len() != expected {
-            return Err(format!(
-                "node {i}: CPT length {} != {expected}",
-                probs.len()
-            ));
-        }
-        let cpt = Cpt::from_probs(cardinality, parent_cards, probs);
-        nodes.push(Node {
-            name,
-            cardinality,
-            parents,
-            cpt,
-        });
-    }
-    expect("end")?;
-    let bn = BayesNet::new(nodes);
-    Ok(IpModel::from_parts(analysis, mined, bn))
-}
-
-fn field<T: std::str::FromStr>(toks: &[String], i: usize) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    toks.get(i)
-        .ok_or_else(|| format!("missing field {i}"))?
-        .parse::<T>()
-        .map_err(|e| e.to_string())
-}
-
-fn float_array(toks: &[String]) -> Result<[f64; 32], String> {
-    if toks.len() != 33 {
-        return Err(format!("expected 32 values, got {}", toks.len() - 1));
-    }
-    let mut out = [0.0f64; 32];
-    for (i, s) in toks[1..].iter().enumerate() {
-        out[i] = hex_float(s)?;
-    }
-    Ok(out)
-}
-
-fn hex_float(s: &str) -> Result<f64, String> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|e| e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::EntropyIp;
     use eip_addr::{AddressSet, Ip6};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn model() -> IpModel {
         let set: AddressSet = (0..800u128)
             .map(|i| Ip6((0x2001_0db8u128 << 96) | ((i % 8) << 80) | (i % 100)))
             .collect();
         EntropyIp::new().analyze(&set).unwrap()
-    }
-
-    #[test]
-    fn round_trip_is_exact() {
-        let m = model();
-        let text = export(&m);
-        let back = import(&text).expect("import");
-        // Analysis fields.
-        assert_eq!(back.analysis().width, m.analysis().width);
-        assert_eq!(back.analysis().num_addresses, m.analysis().num_addresses);
-        assert_eq!(back.analysis().entropy, m.analysis().entropy);
-        assert_eq!(back.analysis().acr, m.analysis().acr);
-        assert_eq!(back.analysis().segments, m.analysis().segments);
-        // Dictionaries.
-        assert_eq!(back.mined(), m.mined());
-        // BN structure + parameters.
-        assert_eq!(back.bn(), m.bn());
-    }
-
-    #[test]
-    fn round_tripped_model_generates_identically() {
-        let m = model();
-        let back = import(&export(&m)).unwrap();
-        let mut r1 = StdRng::seed_from_u64(5);
-        let mut r2 = StdRng::seed_from_u64(5);
-        let a = m.generate(50, 5000, &mut r1);
-        let b = back.generate(50, 5000, &mut r2);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(import("").is_err());
-        assert!(import("entropy-ip-profile v2\n").is_err());
-        assert!(import("nonsense\n").is_err());
-        // Truncated file.
-        let m = model();
-        let text = export(&m);
-        let cut = &text[..text.len() / 2];
-        assert!(import(cut).is_err());
     }
 
     #[test]

@@ -220,7 +220,12 @@ fn load_inner(bytes: &[u8]) -> Result<(IpModel, u64), String> {
     let mut mined = Vec::with_capacity(nseg);
     for seg in &segments {
         let total = r.u64("dictionary total")?;
-        let nvals = r.len(1 << 16, "dictionary size")?;
+        // Plan rows carry byte codes, so no model has more values.
+        let nvals = r.len(256, "dictionary size")?;
+        // Decoding ORs each value into its segment's bits, so a value
+        // must fit the segment and a range must not be inverted.
+        let bits = (seg.end - seg.start + 1) * 4;
+        let max = u128::MAX >> (128 - bits);
         let mut values = Vec::with_capacity(nvals);
         for _ in 0..nvals {
             let code = r.str("value code")?;
@@ -232,6 +237,16 @@ fn load_inner(bytes: &[u8]) -> Result<(IpModel, u64), String> {
                 },
                 k => return Err(format!("unknown value kind tag {k}")),
             };
+            let fits = match kind {
+                ValueKind::Exact(v) => v <= max,
+                ValueKind::Range { lo, hi } => lo <= hi && hi <= max,
+            };
+            if !fits {
+                return Err(format!(
+                    "segment {:?} value {code:?} ({kind:?}) does not fit its {bits} bits",
+                    seg.label
+                ));
+            }
             let count = r.u64("value count")?;
             let freq = r.f64("value freq")?;
             values.push(SegmentValue {
@@ -313,6 +328,7 @@ mod tests {
     use crate::model::EntropyIp;
     use crate::profile;
     use eip_addr::{AddressSet, Ip6};
+    use eip_bayes::{BayesNet, Cpt, Node};
 
     fn model() -> IpModel {
         let set: AddressSet = (0..800u128)
@@ -418,6 +434,52 @@ mod tests {
         bad[off..off + 4].copy_from_slice(&0u32.to_le_bytes());
         reseal(&mut bad);
         assert!(load(&bad).is_err());
+    }
+
+    #[test]
+    fn oversized_dictionary_is_an_error() {
+        // Plan rows are byte codes, so no model has more than 256
+        // values per segment; a crafted container claiming 257 (with a
+        // matching BN node) must fail to load, not panic compiling
+        // the plan.
+        let card = 257usize;
+        let mut payload = Vec::new();
+        serial::put_u32(&mut payload, 32);
+        serial::put_u64(&mut payload, 1000);
+        for _ in 0..64 {
+            serial::put_f64(&mut payload, 0.5);
+        }
+        serial::put_u32(&mut payload, 1);
+        serial::put_str(&mut payload, "A");
+        serial::put_u32(&mut payload, 30);
+        serial::put_u32(&mut payload, 32);
+        serial::put_u64(&mut payload, card as u64);
+        serial::put_u32(&mut payload, card as u32);
+        for v in 0..card {
+            serial::put_str(&mut payload, &format!("A{v}"));
+            payload.push(0);
+            serial::put_u128(&mut payload, v as u128);
+            serial::put_u64(&mut payload, 1);
+            serial::put_f64(&mut payload, 1.0 / card as f64);
+        }
+        let cpt = Cpt::from_probs(card, vec![], vec![1.0 / card as f64; card]);
+        let node = Node {
+            name: "A".into(),
+            cardinality: card,
+            parents: vec![],
+            cpt,
+        };
+        serial::write_net(&BayesNet::new(vec![node]), &mut payload);
+        let mut bytes = MAGIC.to_vec();
+        serial::put_u32(&mut bytes, FORMAT_VERSION);
+        serial::put_u64(&mut bytes, 0);
+        serial::put_u64(&mut bytes, payload.len() as u64);
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&[0; 8]);
+        reseal(&mut bytes);
+        assert!(
+            matches!(load(&bytes), Err(EipError::Profile(msg)) if msg.contains("dictionary size"))
+        );
     }
 
     #[test]

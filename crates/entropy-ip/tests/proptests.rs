@@ -80,8 +80,8 @@ proptest! {
     }
 
     /// The whole staged pipeline is worker-count independent: models
-    /// built with the sharded engine export byte-identically to the
-    /// serial reference for arbitrary structured populations.
+    /// built with the sharded engines export byte-identically to the
+    /// one-worker run for arbitrary structured populations.
     #[test]
     fn pipeline_sharded_equals_serial(
         prefix in 0u128..0xff,
@@ -144,10 +144,11 @@ proptest! {
         prop_assert_eq!(model.generate(n, attempts, &mut b), oracle);
     }
 
-    /// Sharded BN training is exact: retraining the *same* mined
-    /// artifact at any worker count 1..=8 yields a network identical
-    /// to the serial oracle — same parents, same CPT bytes (the
-    /// count-reuse engine fits from the same integer counts).
+    /// Sharded BN training is exact: training the mined dictionaries
+    /// at any worker count 1..=8 yields a network identical to the
+    /// serial oracle ([`eip_bayes::learn_structure`] on the row-wise
+    /// encoding) — same parents, same CPT bytes (the count-reuse
+    /// engine fits from the same integer counts).
     #[test]
     fn sharded_training_matches_serial(
         prefix in 0u128..0xff,
@@ -166,16 +167,22 @@ proptest! {
             .unwrap()
             .segment()
             .mine();
-        let oracle = serial.train().unwrap();
-        for workers in 2usize..=8 {
+        let dictionaries = serial.train().unwrap().into_model();
+        let oracle = eip_bayes::learn_structure(
+            &entropy_ip::baseline::encoded_dataset(&dictionaries, serial.addresses()),
+            &eip_bayes::LearnOptions {
+                names: serial.analysis().segments.iter().map(|s| s.label.clone()).collect(),
+                ..Default::default()
+            },
+        );
+        for workers in 1usize..=8 {
             let mined = Pipeline::new(Config::default().with_parallelism(workers))
                 .profile(set.iter())
                 .unwrap()
                 .segment()
                 .mine();
             let trained = mined.train().unwrap();
-            prop_assert_eq!(trained.model().bn(), oracle.model().bn(),
-                "{} workers", workers);
+            prop_assert_eq!(trained.model().bn(), &oracle, "{} workers", workers);
         }
     }
 
@@ -210,22 +217,6 @@ proptest! {
         for ip in model.generate(30, 3_000, &mut rng) {
             prop_assert!(model.encode(ip).is_some(), "{} does not re-encode", ip);
         }
-    }
-
-    /// Profile export/import round-trips for arbitrary structured
-    /// populations.
-    #[test]
-    fn profile_round_trip(
-        prefix in 0u128..0xff,
-        hosts in 2u128..60,
-    ) {
-        let set: AddressSet = (0..hosts)
-            .map(|h| Ip6((0x2001_0db8u128 << 96) | (prefix << 80) | (h * h)))
-            .collect();
-        let model = EntropyIp::new().analyze(&set).unwrap();
-        let back = entropy_ip::profile::import(&entropy_ip::profile::export(&model)).unwrap();
-        prop_assert_eq!(back.mined(), model.mined());
-        prop_assert_eq!(back.bn(), model.bn());
     }
 
     /// The binary model container round-trips bit-exactly for
@@ -271,36 +262,5 @@ proptest! {
             back.plan().sample_keyed_into(&mut row_b, seed, 7, index);
             prop_assert_eq!(&row_a, &row_b, "plan diverged at index {}", index);
         }
-    }
-
-    /// Models built through the staged pipeline round-trip through
-    /// the profile format exactly, and re-exporting the re-imported
-    /// model is a fixed point — for arbitrary structured populations
-    /// streamed through the ingestion path.
-    #[test]
-    fn staged_profile_round_trip(
-        prefix in 0u128..0xff,
-        subnets in 1u128..8,
-        hosts in 2u128..50,
-        parallelism in 1usize..5,
-    ) {
-        let cfg = Config::default().with_parallelism(parallelism);
-        let trained = Pipeline::new(cfg)
-            .profile((0..subnets).flat_map(|s| {
-                (0..hosts).map(move |h| {
-                    Ip6((0x2001_0db8u128 << 96) | (prefix << 80) | (s << 16) | (h * 3))
-                })
-            }))
-            .unwrap()
-            .segment()
-            .mine()
-            .train()
-            .unwrap();
-        let text = entropy_ip::profile::export(trained.model());
-        let back = entropy_ip::profile::import(&text).unwrap();
-        prop_assert_eq!(back.analysis(), trained.model().analysis());
-        prop_assert_eq!(back.mined(), trained.model().mined());
-        prop_assert_eq!(back.bn(), trained.model().bn());
-        prop_assert_eq!(entropy_ip::profile::export(&back), text);
     }
 }

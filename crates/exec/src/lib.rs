@@ -21,10 +21,10 @@
 //! Every fan-out runs on [`std::thread::scope`] threads, so the
 //! primitives borrow their inputs — no global state, no unsafe code,
 //! no `'static` bounds. A [`Scheduler`] with one worker runs
-//! everything inline on the calling thread, which keeps the serial
-//! paths allocation- and thread-free and makes them the reference
-//! implementations the sharded paths are verified against (see the
-//! shard-equivalence proptests in `entropy-ip`). For fleet-scale
+//! everything inline on the calling thread as a single shard, so the
+//! same engine serves every worker count without spawning at one
+//! (the shard-equivalence proptests in `entropy-ip` pin every worker
+//! count to the serial oracles). For fleet-scale
 //! workloads — many concurrent pipeline jobs on one box — a scheduler
 //! can instead be attached to a shared thread budget
 //! ([`pool::StealPool`], [`Scheduler::shared`]): each fan-out then
@@ -220,11 +220,12 @@ impl Scheduler {
         self.threads
     }
 
-    /// Whether this scheduler was requested with a single worker —
-    /// the signal the pipeline stages use to select their serial
-    /// reference implementations over the sharded engines. (Distinct
-    /// from [`threads`](Scheduler::threads) `== 1`, which only means
-    /// the shards of a multi-worker scheduler happen to run inline.)
+    /// Whether this scheduler was requested with a single worker: its
+    /// one shard runs inline on the caller. The engines need no such
+    /// test; the generator reads it to walk its draws lazily instead
+    /// of drawing speculative batches. (Distinct from
+    /// [`threads`](Scheduler::threads) `== 1`, which only means the
+    /// shards of a multi-worker scheduler happen to run inline.)
     #[inline]
     pub fn is_serial(&self) -> bool {
         self.workers == 1

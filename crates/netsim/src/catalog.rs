@@ -256,18 +256,20 @@ impl DatasetSpec {
 
     /// Generates an observed population of `n` addresses, as the
     /// first `n` distinct draws of the keyed sample stream under
-    /// `seed` ([`AddressPlan::generate_keyed`]) — a pure function of
-    /// `(dataset, n, seed)`, independent of who computes it and how
-    /// it is sharded.
+    /// `seed` — a pure function of `(dataset, n, seed)`, independent
+    /// of who computes it and how it is sharded. Runs the keyed
+    /// engine ([`AddressPlan::generate_keyed_sharded`]) as one
+    /// inline shard; its output equals the straight-line oracle
+    /// [`AddressPlan::generate_keyed`].
     pub fn population_sized(&self, n: usize, seed: u64) -> AddressSet {
-        self.plan().generate_keyed(n, 0, seed)
+        self.population_sized_exec(n, seed, &eip_exec::Scheduler::default())
     }
 
     /// [`DatasetSpec::population_sized`] with sampling *and* dedup
     /// sharded over `jobs` workers
-    /// ([`AddressPlan::generate_keyed_sharded`]): byte-identical to
-    /// the serial form at any `jobs` by construction. This is the
-    /// `repro --full` synthesize stage.
+    /// ([`AddressPlan::generate_keyed_sharded`]): byte-identical at
+    /// any `jobs` by construction. This is the `repro --full`
+    /// synthesize stage.
     pub fn population_sized_jobs(&self, n: usize, seed: u64, jobs: usize) -> AddressSet {
         self.population_sized_exec(n, seed, &eip_exec::Scheduler::new(jobs))
     }

@@ -269,89 +269,6 @@ impl AddressPlan {
         AddressSet::from_iter(seen)
     }
 
-    /// [`AddressPlan::generate_from`] with the dedup bookkeeping
-    /// sharded on an [`eip_exec::Scheduler`] — the `repro --full`
-    /// synthesize stage.
-    ///
-    /// Sampling itself must stay serial (each draw consumes a
-    /// variable number of RNG words, so the stream cannot be split),
-    /// but the serial reference spends much of its time *around* the
-    /// sampler: SipHashing every draw into a `HashSet`, then sorting
-    /// the randomly-ordered survivors. Here the stream is drawn in
-    /// deterministic rounds; each round's draws are screened on the
-    /// scheduler against the accepted set so far (a read-shared
-    /// [`DedupSet`](eip_addr::DedupSet) — fast multiply-shift
-    /// hashing, `&self` membership), the survivors pass one serial
-    /// dedup-and-accept walk in draw order, and the accepted
-    /// addresses get a single sharded sort at the end
-    /// ([`Scheduler::par_sort_unstable`]) so
-    /// [`AddressSet::from_iter`] sees pre-sorted input.
-    ///
-    /// The result is the set of **first `n` distinct** draws of the
-    /// same capped sample stream the serial loop consumes — the
-    /// screen only drops draws whose value is already accepted, so
-    /// the first draw of every value reaches the serial walk in draw
-    /// order — and is therefore byte-identical to
-    /// [`AddressPlan::generate_from`] at any worker count (asserted
-    /// by the equivalence proptests). Only the RNG's final stream
-    /// position may differ (rounds can overshoot the serial loop's
-    /// early break; callers use a dedicated RNG per population, so
-    /// nothing observes the tail).
-    pub fn generate_from_sharded<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        k0: u64,
-        rng: &mut R,
-        exec: &Scheduler,
-    ) -> AddressSet {
-        use eip_addr::DedupSet;
-        let budget = n.saturating_mul(4); // the serial loop's sample cap
-        let mut consumed = 0usize;
-        // Accepted addresses in draw order, and the same set for
-        // membership screens.
-        let mut accepted: Vec<Ip6> = Vec::with_capacity(n);
-        let mut seen = DedupSet::with_capacity(n);
-        while accepted.len() < n && consumed < budget {
-            let shortfall = n - accepted.len();
-            // Deterministic round size: the shortfall plus headroom
-            // for the expected duplicate tail. A pure function of the
-            // loop state, so the stream is worker-count independent.
-            let round = (shortfall + shortfall / 16 + 1024).min(budget - consumed);
-            let buf: Vec<Ip6> = (0..round)
-                .map(|i| self.sample(k0 + (consumed + i) as u64, rng))
-                .collect();
-            consumed += round;
-            // Sharded screen against the accepted-so-far set; shard
-            // survivor lists concatenate in shard order = draw order.
-            let survivors: Vec<Ip6> = exec
-                .par_map_reduce(
-                    buf.len(),
-                    |range| {
-                        buf[range]
-                            .iter()
-                            .copied()
-                            .filter(|&ip| !seen.contains(ip))
-                            .collect::<Vec<_>>()
-                    },
-                    |acc, part| acc.extend_from_slice(&part),
-                )
-                .unwrap_or_default();
-            // Serial: in-round duplicates, accepting first
-            // occurrences in draw order until `n` distinct — exactly
-            // where the serial loop breaks.
-            for &ip in &survivors {
-                if seen.insert(ip) {
-                    accepted.push(ip);
-                    if accepted.len() >= n {
-                        break;
-                    }
-                }
-            }
-        }
-        exec.par_sort_unstable(&mut accepted);
-        AddressSet::from_iter(accepted)
-    }
-
     /// Samples address `k` of the keyed population `seed`: a pure
     /// function of `(plan, seed, k)`. Unlike [`AddressPlan::sample`],
     /// no stream is consumed — any worker can materialize any index,
@@ -371,7 +288,8 @@ impl AddressPlan {
     /// Keyed population synthesis: the first `n` distinct values of
     /// the keyed sample stream `k0, k0+1, …` under `seed`, drawing at
     /// most `4 n` samples. The straight-line serial oracle for
-    /// [`AddressPlan::generate_keyed_sharded`].
+    /// [`AddressPlan::generate_keyed_sharded`], kept for tests and
+    /// benchmarks; production synthesis runs the engine.
     pub fn generate_keyed(&self, n: usize, k0: u64, seed: u64) -> AddressSet {
         let key = stream_key(seed, PLAN_STREAM);
         let mut seen: std::collections::HashSet<Ip6> = std::collections::HashSet::with_capacity(n);
@@ -385,21 +303,19 @@ impl AddressPlan {
     }
 
     /// [`AddressPlan::generate_keyed`] with *sampling itself* sharded
-    /// on an [`eip_exec::Scheduler`] — the `repro --full` synthesize
-    /// stage.
+    /// on an [`eip_exec::Scheduler`] — every production population
+    /// (`DatasetSpec::population_sized`, the `repro --full` synthesize
+    /// stage) is drawn here.
     ///
-    /// This is the payoff of keyed draws over the consumed-stream
-    /// [`AddressPlan::generate_from_sharded`]: there, each draw eats a
-    /// variable number of RNG words, so sampling had to stay serial
-    /// and only the dedup bookkeeping sharded. Here address `k` is a
-    /// pure function of `(seed, k)`, so every round's draws are
-    /// materialized *and* screened against the accepted set in one
-    /// sharded pass; a serial walk then accepts first occurrences in
-    /// index order until `n` distinct — exactly where the serial
-    /// oracle breaks. Round geometry cannot affect the output (it only
-    /// decides which indices are materialized eagerly), so the result
-    /// is byte-identical to [`AddressPlan::generate_keyed`] at any
-    /// worker count and any shard geometry, by construction.
+    /// Address `k` is a pure function of `(seed, k)`, so every round's
+    /// draws are materialized *and* screened against the accepted set
+    /// in one sharded pass; a serial walk then accepts first
+    /// occurrences in index order until `n` distinct — exactly where
+    /// the serial oracle breaks. Round geometry cannot affect the
+    /// output (it only decides which indices are materialized
+    /// eagerly), so the result is byte-identical to
+    /// [`AddressPlan::generate_keyed`] at any worker count and any
+    /// shard geometry, by construction.
     pub fn generate_keyed_sharded(
         &self,
         n: usize,
@@ -408,6 +324,11 @@ impl AddressPlan {
         exec: &Scheduler,
     ) -> AddressSet {
         use eip_addr::DedupSet;
+        // Small top-up rounds are not worth fanning out: below this
+        // many draws the spawn/join cost of a shard pass exceeds the
+        // sampling work, so such a round runs as one inline shard.
+        const SERIAL_ROUND: usize = 4096;
+        let inline = Scheduler::default();
         let key = stream_key(seed, PLAN_STREAM);
         let compiled = self.compile(); // per-draw constants hoisted once
         let budget = n.saturating_mul(4); // the serial oracle's sample cap
@@ -416,24 +337,13 @@ impl AddressPlan {
         let mut seen = DedupSet::with_capacity(n);
         while accepted.len() < n && consumed < budget {
             let shortfall = n - accepted.len();
-            // Round size is pure loop-state arithmetic, but unlike the
-            // stream-based engine it no longer needs to be: indices,
-            // not stream positions, are what shards consume.
+            // Round size is pure loop-state arithmetic: the shortfall
+            // plus headroom for the expected duplicate tail.
             let round = (shortfall + shortfall / 16 + 1024).min(budget - consumed);
             let base = k0 + consumed as u64;
-            // Small top-up rounds are not worth fanning out: below
-            // this many draws the spawn/join cost of a shard pass
-            // exceeds the sampling work, so run the round inline.
-            // Which branch runs cannot affect the output — survivors
-            // are a pure function of the round's indices either way.
-            const SERIAL_ROUND: usize = 4096;
-            let survivors: Vec<Ip6> = if round <= SERIAL_ROUND {
-                (0..round)
-                    .map(|i| compiled.sample_at(key, base + i as u64))
-                    .filter(|&ip| !seen.contains(ip))
-                    .collect()
-            } else {
-                exec.par_map_reduce(
+            let round_exec = if round <= SERIAL_ROUND { &inline } else { exec };
+            let survivors: Vec<Ip6> = round_exec
+                .par_map_reduce(
                     round,
                     |range| {
                         range
@@ -443,8 +353,7 @@ impl AddressPlan {
                     },
                     |acc, part| acc.extend_from_slice(&part),
                 )
-                .unwrap_or_default()
-            };
+                .unwrap_or_default();
             consumed += round;
             for &ip in &survivors {
                 if seen.insert(ip) {
@@ -908,51 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_generation_matches_serial_oracle() {
-        // Duplicate-heavy (sequential pool + tiny uniform) and
-        // duplicate-light plans, at sizes that exercise the
-        // first-round break, the top-up rounds, and the exhausted
-        // budget, for worker counts around the shard boundaries.
-        let dense = AddressPlan::single(
-            "dense",
-            vec![
-                PlanField::new(0, 32, FieldKind::Const(0x2001_0db8)),
-                PlanField::new(112, 16, FieldKind::Uniform { lo: 0, hi: 0x3ff }),
-            ],
-        );
-        let sparse = AddressPlan::single(
-            "sparse",
-            vec![
-                PlanField::new(0, 32, FieldKind::Const(0x2001_0db8)),
-                PlanField::new(
-                    64,
-                    64,
-                    FieldKind::Uniform {
-                        lo: 0,
-                        hi: u64::MAX as u128,
-                    },
-                ),
-            ],
-        );
-        for plan in [&dense, &sparse] {
-            for n in [0usize, 1, 100, 700, 2000] {
-                let mut oracle_rng = StdRng::seed_from_u64(9);
-                let oracle = plan.generate_from(n, 5, &mut oracle_rng);
-                for workers in [1usize, 2, 3, 8] {
-                    let mut rng = StdRng::seed_from_u64(9);
-                    let sharded =
-                        plan.generate_from_sharded(n, 5, &mut rng, &Scheduler::new(workers));
-                    assert_eq!(
-                        sharded, oracle,
-                        "plan {}, n {n}, {workers} workers",
-                        plan.name
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn keyed_sampling_is_index_pure() {
         let plan = AddressPlan::single(
             "t",
@@ -978,9 +842,11 @@ mod tests {
 
     #[test]
     fn keyed_sharded_matches_keyed_serial_oracle() {
-        // Same plan/size grid as the stream-based oracle test, plus
-        // non-power-of-two worker counts: keyed output must be
-        // byte-identical everywhere by construction.
+        // Duplicate-heavy and duplicate-light plans, at sizes that
+        // exercise the first-round break, the top-up rounds, the
+        // exhausted budget and (6000) rounds large enough to fan out,
+        // for worker counts around the shard boundaries: keyed output
+        // must be byte-identical everywhere by construction.
         let dense = AddressPlan::single(
             "dense",
             vec![
@@ -1003,7 +869,7 @@ mod tests {
             ],
         );
         for plan in [&dense, &sparse] {
-            for n in [0usize, 1, 100, 700, 2000] {
+            for n in [0usize, 1, 100, 700, 2000, 6000] {
                 let oracle = plan.generate_keyed(n, 5, 9);
                 for workers in [1usize, 2, 3, 7, 8] {
                     let sharded = plan.generate_keyed_sharded(n, 5, 9, &Scheduler::new(workers));

@@ -1,7 +1,7 @@
 //! `eip` — the Entropy/IP command-line tool.
 //!
 //! Mirrors the original project's workflow: feed it a file of IPv6
-//! addresses, get the analysis, and optionally a model profile or
+//! addresses, get the analysis, and optionally a saved model or
 //! generated scan targets.
 //!
 //! ```text
@@ -9,8 +9,7 @@
 //! eip analyze ips.txt --top64          # prefix (top-64-bit) mode
 //! eip generate ips.txt -n 10000        # candidate targets, one per line
 //! eip generate ips.txt -n 1000000 --jobs 8   # parallel batched sampling
-//! eip export ips.txt > model.eip       # train and save a profile
-//! eip generate --profile model.eip -n 1000
+//! eip export ips.txt > model.txt       # train and print the text profile
 //! eip dot ips.txt > bn.dot             # BN graph for Graphviz
 //!
 //! # Train once, serve millions (binary .eipm containers + daemon):
@@ -85,7 +84,6 @@ fn run() -> Result<(), EipError> {
 /// Shared option bag for all subcommands.
 struct Cli {
     input: Option<String>,
-    profile: Option<String>,
     model_in: Option<String>,
     model_out: Option<String>,
     top64: bool,
@@ -105,7 +103,6 @@ struct Cli {
 fn parse(args: &[String]) -> Result<Cli, EipError> {
     let mut cli = Cli {
         input: None,
-        profile: None,
         model_in: None,
         model_out: None,
         top64: false,
@@ -135,10 +132,6 @@ fn parse(args: &[String]) -> Result<Cli, EipError> {
                 cli.chunk_mb = operand(args, i, "--chunk-mb")?
                     .parse()
                     .map_err(|_| EipError::Usage("--chunk-mb needs a number of MiB".into()))?;
-            }
-            "--profile" => {
-                i += 1;
-                cli.profile = Some(operand(args, i, "--profile")?);
             }
             "--model-in" => {
                 i += 1;
@@ -233,24 +226,17 @@ fn pipeline(cli: &Cli) -> Pipeline {
 }
 
 /// Loads a model — from a binary `.eipm` container (`--model-in`),
-/// from a saved text profile (`--profile`), or by training on the
-/// input file via the streaming ingestion engine (or the serial
+/// or by training on the input file via the streaming ingestion engine (or the serial
 /// oracle with `--chunk-mb 0`). Returns the model plus its
 /// provenance fingerprint (for `--model-out`).
 fn load_model(cli: &Cli) -> Result<(IpModel, u64), EipError> {
     if let Some(path) = &cli.model_in {
         return store::load_file(path);
     }
-    if let Some(path) = &cli.profile {
-        let text = std::fs::read_to_string(path).map_err(|e| EipError::io(path, e))?;
-        let model = profile::import(&text)?;
-        let fp = store::fingerprint(&format!("profile={path}"));
-        return Ok((model, fp));
-    }
     let path = cli
         .input
         .as_ref()
-        .ok_or_else(|| EipError::Usage("need an address file, --profile, or --model-in".into()))?;
+        .ok_or_else(|| EipError::Usage("need an address file or --model-in".into()))?;
     let profiled = if cli.chunk_mb == 0 {
         let file = File::open(path).map_err(|e| EipError::io(path, e))?;
         pipeline(cli).profile_lines(BufReader::new(file))?
@@ -402,7 +388,7 @@ fn usage() {
          commands:\n\
            analyze <file>     entropy/ACR plot, dictionaries, browser, BN\n\
            generate <file>    print candidate scan targets\n\
-           export <file>      train and print a model profile\n\
+           export <file>      train and print the model as a text profile\n\
            dot <file>         print the BN as Graphviz DOT\n\
            serve <dir>        model-service daemon over a directory of .eipm files\n\
            query <addr> <req> send one protocol request (BROWSE/GEN/PREDICT64/STATS)\n\
@@ -411,7 +397,6 @@ fn usage() {
            --top64            analyze only the top 64 bits (prefix mode)\n\
            --chunk-mb <N>     streaming ingest chunk size in MiB (default 4;\n\
                               0 = serial one-line-at-a-time ingestion)\n\
-           --profile <path>   load a saved profile instead of training\n\
            --model-in <path>  load a binary .eipm model instead of training\n\
            --model-out <path> persist the model as a binary .eipm container\n\
            -n, --count <N>    number of candidates to generate (default 1000)\n\

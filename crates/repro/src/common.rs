@@ -3,6 +3,7 @@
 
 use eip_addr::set::SplitMix64;
 use eip_addr::{AddressSet, Ip6};
+use eip_exec::Scheduler;
 use eip_netsim::{dataset, FaultConfig, Responder};
 use entropy_ip::{Config, EipError, Generator, IpModel, Pipeline};
 
@@ -98,13 +99,17 @@ pub struct Workbench {
 /// networks.
 pub fn workbench(id: &str, cfg: &RunConfig) -> Workbench {
     let spec = dataset(id).unwrap_or_else(|| panic!("unknown dataset {id}"));
-    let observed = spec.population(cfg.seed);
+    let exec = Scheduler::new(cfg.jobs);
+    let observed = spec.population_sized_exec(spec.default_population, cfg.seed, &exec);
     let mut split_rng = SplitMix64::new(cfg.seed ^ 0xbeef);
     let (train, test) = observed.split_sample(cfg.train, &mut split_rng);
 
-    let unobserved = spec
-        .plan()
-        .generate_keyed(spec.default_population / 2, 0, cfg.seed ^ 0x5eed);
+    let unobserved = spec.plan().generate_keyed_sharded(
+        spec.default_population / 2,
+        0,
+        cfg.seed ^ 0x5eed,
+        &exec,
+    );
     let active = observed.union(&unobserved);
     let responder =
         Responder::new(active, spec.rdns_fraction, cfg.seed ^ 0xd15).with_faults(FaultConfig {

@@ -74,8 +74,8 @@ fn window_grid_renders_both_ways() {
 #[test]
 fn profile_round_trip_preserves_rendering() {
     let (_, m) = model("R1");
-    let text = entropy_ip::profile::export(&m);
-    let back = entropy_ip::profile::import(&text).unwrap();
+    let bytes = entropy_ip::store::save(&m, 0);
+    let (back, _) = entropy_ip::store::load(&bytes).unwrap();
     assert_eq!(
         render_entropy_ascii(m.analysis(), 10),
         render_entropy_ascii(back.analysis(), 10)

@@ -4,7 +4,7 @@
 
 use eip_bayes::LearnOptions;
 use eip_netsim::dataset;
-use entropy_ip::{profile, Config, EipError, EntropyIp, MiningOptions, Pipeline};
+use entropy_ip::{profile, store, Config, EipError, EntropyIp, MiningOptions, Pipeline};
 
 fn seed_set() -> eip_addr::AddressSet {
     dataset("S1").unwrap().population_sized(5_000, 20160317)
@@ -152,8 +152,11 @@ fn unified_errors_from_both_paths() {
             .unwrap_err(),
         EipError::EmptySet
     );
+    let mut version9 = b"EIPM".to_vec();
+    version9.extend_from_slice(&9u32.to_le_bytes());
+    version9.resize(32, 0);
     assert!(matches!(
-        profile::import("entropy-ip-profile v9\n"),
-        Err(EipError::Profile(_))
+        store::load(&version9),
+        Err(EipError::Profile(msg)) if msg.contains("version 9")
     ));
 }
