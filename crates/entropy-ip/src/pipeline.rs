@@ -925,10 +925,10 @@ mod tests {
 
     #[test]
     fn sharded_engine_is_worker_count_independent() {
-        // Profiling and mining both shard when parallelism > 1; the
-        // model (and every intermediate artifact) must be identical
-        // at every worker count, including counts that exceed the
-        // input size.
+        // Profiling and mining shard by the worker count; the model
+        // (and every intermediate artifact) must be identical at
+        // every worker count, including counts that exceed the input
+        // size.
         let set = training_set();
         let serial = Pipeline::new(Config::default())
             .profile(set.iter())
